@@ -127,14 +127,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Tiny end-to-end sanity pass over the machine-readable benchmark path:
-# a reduced-scale rcbench -json run — including 1-rep allocation
-# fast-path and arena-fabric A/Bs so the parallel and fabric sections
-# of the schema are exercised — piped through the benchlint validator,
-# then a 100-iteration spin of the parallel Alloc benchmark pairs.
-# Catches schema drift, broken workloads and a broken fast path in
-# seconds.
+# a reduced-scale rcbench -json run — including a 1-rep arena-fabric
+# A/B so the fabric section of the schema is exercised — piped through
+# the benchlint validator, then a 100-iteration spin of the parallel
+# Alloc benchmarks. Catches schema drift, broken workloads and a broken
+# fast path in seconds.
 bench-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -alloc-ab 1 -ab-cpu 2 -fabric-ab 1 -fabric-cpu 2 -fabric-live 32 | $(GO) run rcgo/cmd/benchlint
+	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -fabric-ab 1 -fabric-cpu 2 -fabric-live 32 | $(GO) run rcgo/cmd/benchlint
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 
 # Regenerate every table and figure of the paper's evaluation.

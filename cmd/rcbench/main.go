@@ -9,7 +9,6 @@
 //	rcbench -figure 8        # one figure (7, 8 or 9)
 //	rcbench -scale 50 -reps 5 -workloads moss,tile
 //	rcbench -json            # machine-readable report on stdout
-//	rcbench -alloc-ab 10 -ab-cpu 8   # Go-native allocation fast-path A/B
 //	rcbench -fabric-ab 10 -fabric-cpu 8 -fabric-live 256   # arena fabric A/B
 //	rcbench -advisor-ab 10 -advisor-cpu 8   # annotation-advisor gate A/B
 //	rcbench -own-ab 10 -own-cpu 2    # ownership fast-path A/B (shared vs Owner token)
@@ -19,7 +18,7 @@
 //	                             # grobner-mix replay and print the
 //	                             # advisor's upgrade table; exits non-zero
 //	                             # if no upgrade candidate is found
-//	rcbench -json -workloads grobner -alloc-ab 10   # record a parallel section
+//	rcbench -json -workloads grobner -fabric-ab 10   # record a fabric section
 //
 // With -json the human tables are skipped (-table/-figure/-space/-bars
 // are ignored) and a single exp.BenchReport document — schema
@@ -46,8 +45,6 @@ func main() {
 	names := flag.String("workloads", "", "comma-separated workload subset")
 	bars := flag.Bool("bars", false, "also render figures as bar charts")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report (rcgo.bench/1) instead of tables")
-	allocAB := flag.Int("alloc-ab", 0, "run the Go-native allocation fast-path A/B benchmarks, best of N interleaved runs per side (0 = skip)")
-	abCPU := flag.Int("ab-cpu", 8, "GOMAXPROCS for the -alloc-ab benchmarks")
 	fabricAB := flag.Int("fabric-ab", 0, "run the arena fabric A/B benchmarks (1 shard vs GOMAXPROCS-wide), best of N interleaved runs per side (0 = skip)")
 	fabricCPU := flag.Int("fabric-cpu", 8, "GOMAXPROCS for the -fabric-ab benchmarks")
 	fabricLive := flag.Int("fabric-live", 256, "live-region backdrop population for the -fabric-ab benchmarks")
@@ -78,12 +75,6 @@ func main() {
 		report, err := exp.BenchJSON(o)
 		if err != nil {
 			fail(err)
-		}
-		if *allocAB > 0 {
-			report.Parallel, err = exp.AllocAB(*abCPU, *allocAB)
-			if err != nil {
-				fail(err)
-			}
 		}
 		if *fabricAB > 0 {
 			report.Fabric, err = exp.FabricAB(*fabricCPU, *fabricAB, *fabricLive)
@@ -132,18 +123,6 @@ func main() {
 		if rep.UpgradeCandidates == 0 {
 			fail(fmt.Errorf("advise replay found no upgrade candidates — the advisor lost the flavour lattice"))
 		}
-		if *allocAB == 0 && *fabricAB == 0 && *advisorAB == 0 && *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *allocAB > 0 {
-		cells, err := exp.AllocAB(*abCPU, *allocAB)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintAllocAB(os.Stdout, cells)
 		if *fabricAB == 0 && *advisorAB == 0 && *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
 			return
 		}

@@ -95,7 +95,7 @@ func measureAdvisor(armed bool, scenario string) (float64, error) {
 // AdvisorAB runs the interleaved disarmed-vs-armed advisor benchmarks
 // at the given GOMAXPROCS, best of bestOf runs per side, in strict
 // A, B, A, B alternation so drift hits both sides equally (the
-// convention of AllocAB and the paper's best-of runs).
+// convention of the other A/B harnesses and the paper's best-of runs).
 func AdvisorAB(cpu, bestOf int) ([]AdvisorBenchReport, error) {
 	if bestOf <= 0 {
 		bestOf = 10

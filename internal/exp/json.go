@@ -70,9 +70,10 @@ type BenchReport struct {
 	Options   BenchOptions     `json:"options"`
 	Workloads []WorkloadReport `json:"workloads"`
 	// Parallel is the optional interleaved A/B section over the
-	// Go-native allocation fast path (rcbench -alloc-ab, parallel.go);
-	// absent from workload-only reports, so older recorded files stay
-	// valid under the same schema.
+	// Go-native allocation fast path (parallel.go), recorded in
+	// BENCH_pr5_allocfast.json; no longer produced, and absent from
+	// workload-only reports, so older recorded files stay valid under
+	// the same schema.
 	Parallel []ParallelReport `json:"parallel,omitempty"`
 	// Fabric is the optional interleaved A/B section over the arena's
 	// sharding fabric (rcbench -fabric-ab, fabric.go): single-shard

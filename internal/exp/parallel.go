@@ -1,19 +1,16 @@
 package exp
 
-// Interleaved A/B benchmarking of the Go-native allocation fast path
-// (region_alloccache.go). Each scenario is measured with the fast path
-// enabled and disabled (rcgo.WithAllocCache) in strict alternation —
-// A, B, A, B, … — so thermal drift, background load and GC phase hit
-// both sides equally, and the best of N is reported per side, following
-// the paper's best-of-five convention. cmd/rcbench exposes this as
-// -alloc-ab and records the cells in the rcgo.bench/1 "parallel"
-// section (EXPERIMENTS.md §"Allocation fast path").
+// Shared pieces of the Go-native A/B harnesses, and the schema of the
+// rcgo.bench/1 "parallel" section. That section records the allocation
+// fast path (region_alloccache.go) against the pre-cache slow path it
+// replaced; the A/B is committed in BENCH_pr5_allocfast.json and the
+// slow path is gone, so nothing here produces new cells, but benchlint
+// still reads the committed ones (EXPERIMENTS.md §"Allocation fast
+// path").
 
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"testing"
 
 	"rcgo"
 	"rcgo/internal/workloads"
@@ -26,56 +23,16 @@ type ParallelReport struct {
 	Name   string `json:"name"`
 	CPU    int    `json:"cpu"`
 	BestOf int    `json:"best_of"`
-	// BaselineNs is ns/op down the pre-cache slow path
-	// (WithAllocCache(false)); NsPerOp is the fast path.
+	// BaselineNs is ns/op down the pre-cache slow path; NsPerOp is the
+	// fast path.
 	BaselineNs float64 `json:"baseline_ns_op"`
 	NsPerOp    float64 `json:"ns_op"`
 	// DeltaPct is the improvement, (baseline - fast) / baseline * 100.
 	DeltaPct float64 `json:"delta_pct"`
 }
 
+// abNode is the one-pointer object the A/B scenarios allocate.
 type abNode struct{ next rcgo.Ref[abNode] }
-
-// allocLoop is the per-P body of every scenario: allocate, run
-// storesPerAlloc annotated sameregion stores against the fresh object,
-// and recycle the region every 8192 allocations (the webserver pattern
-// of a region per request, matching BenchmarkParallelAlloc).
-func allocLoop(b *testing.B, a *rcgo.Arena, pb *testing.PB, storesPerAlloc int) {
-	r := a.NewRegion()
-	var prev *rcgo.Obj[abNode]
-	n := 0
-	for pb.Next() {
-		o := rcgo.Alloc[abNode](r)
-		for s := 0; s < storesPerAlloc; s++ {
-			rcgo.MustSetSame(o, &o.Value.next, prev)
-		}
-		prev = o
-		if n++; n == 8192 {
-			prev = nil
-			if err := r.Delete(); err != nil {
-				b.Error(err)
-				return
-			}
-			r = a.NewRegion()
-			n = 0
-		}
-	}
-	if err := r.Delete(); err != nil {
-		b.Error(err)
-	}
-}
-
-// measureAlloc times one side of one scenario under testing.Benchmark.
-func measureAlloc(cache bool, storesPerAlloc int) (float64, error) {
-	res := testing.Benchmark(func(b *testing.B) {
-		a := rcgo.NewArena(rcgo.WithAllocCache(cache))
-		b.RunParallel(func(pb *testing.PB) { allocLoop(b, a, pb, storesPerAlloc) })
-	})
-	if res.N == 0 {
-		return 0, fmt.Errorf("benchmark failed (cache=%v)", cache)
-	}
-	return float64(res.T.Nanoseconds()) / float64(res.N), nil
-}
 
 // workloadStoresPerAlloc runs the named workload once through the
 // compiler pipeline and distills its store-per-allocation ratio
@@ -101,64 +58,4 @@ func workloadStoresPerAlloc(name string, scale int) (int, error) {
 	}
 	stores := st.SameChecks + st.TradChecks + st.ParentChecks + st.UncheckedPtrs
 	return int((stores + st.Allocs/2) / st.Allocs), nil
-}
-
-// AllocAB runs the interleaved A/B parallel allocation benchmarks at
-// the given GOMAXPROCS, best of bestOf runs per side: a pure Alloc
-// loop, Alloc+SetSame, and a replay of grobner (the alloc-heaviest
-// workload) with its measured store-per-alloc mix.
-func AllocAB(cpu, bestOf int) ([]ParallelReport, error) {
-	if bestOf <= 0 {
-		bestOf = 10
-	}
-	if cpu <= 0 {
-		cpu = 8
-	}
-	grobnerStores, err := workloadStoresPerAlloc("grobner", 2)
-	if err != nil {
-		return nil, err
-	}
-	scenarios := []struct {
-		name   string
-		stores int
-	}{
-		{"parallel-alloc", 0},
-		{"parallel-alloc-setsame", 1},
-		{"parallel-alloc-grobner-mix", grobnerStores},
-	}
-	prev := runtime.GOMAXPROCS(cpu)
-	defer runtime.GOMAXPROCS(prev)
-	var out []ParallelReport
-	for _, sc := range scenarios {
-		rep := ParallelReport{Name: sc.name, CPU: cpu, BestOf: bestOf}
-		for i := 0; i < bestOf; i++ {
-			fast, err := measureAlloc(true, sc.stores)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", sc.name, err)
-			}
-			slow, err := measureAlloc(false, sc.stores)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", sc.name, err)
-			}
-			if rep.NsPerOp == 0 || fast < rep.NsPerOp {
-				rep.NsPerOp = fast
-			}
-			if rep.BaselineNs == 0 || slow < rep.BaselineNs {
-				rep.BaselineNs = slow
-			}
-		}
-		rep.DeltaPct = 100 * (rep.BaselineNs - rep.NsPerOp) / rep.BaselineNs
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// PrintAllocAB renders the A/B cells as a small table.
-func PrintAllocAB(w io.Writer, reps []ParallelReport) {
-	fmt.Fprintf(w, "%-28s %6s %8s %12s %12s %8s\n",
-		"scenario", "cpu", "best-of", "slow ns/op", "fast ns/op", "delta")
-	for _, r := range reps {
-		fmt.Fprintf(w, "%-28s %6d %8d %12.1f %12.1f %+7.1f%%\n",
-			r.Name, r.CPU, r.BestOf, r.BaselineNs, r.NsPerOp, r.DeltaPct)
-	}
 }

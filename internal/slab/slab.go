@@ -25,7 +25,10 @@ var (
 // so bump-carving mixed classes out of one segment keeps every block
 // 8 KiB-aligned. 8 KiB is the paper's region block size; the larger
 // classes exist for callers that batch more aggressively.
-var classSizes = [...]int{8 << 10, 16 << 10, 32 << 10, 64 << 10}
+var classSizes = [...]int{blockAlign, 16 << 10, 32 << 10, 64 << 10}
+
+// blockAlign is the alignment of every block: the smallest class.
+const blockAlign = 8 << 10
 
 // defaultSegmentBytes is the mapping granularity: segments are mapped
 // rarely and carved often, so they are much larger than any class.
@@ -67,9 +70,10 @@ type Config struct {
 // segment is one mapped (or heap-allocated) region of backing memory,
 // bump-carved into class blocks.
 type segment struct {
-	buf    []byte
-	mapped bool // true: syscall-mapped, Close must munmap
-	off    int  // carve cursor
+	buf    []byte // the blockAlign-aligned window carving uses
+	raw    []byte // the whole mapping, which Close unmaps
+	mapped bool   // true: syscall-mapped, Close must munmap
+	off    int    // carve cursor
 }
 
 // class is one size class: its block size and the segregated free list
@@ -84,7 +88,8 @@ type class struct {
 // InUsePages, always, even mid-flight, because every transition
 // happens under the store mutex.
 type Stats struct {
-	// Segments / MappedBytes describe the raw backing memory.
+	// Segments / MappedBytes describe the raw backing memory; an mmap
+	// segment's extra alignment block (see mapSegment) is not counted.
 	Segments    int64 `json:"segments"`
 	MappedBytes int64 `json:"mapped_bytes"`
 	// CarvedPages counts blocks ever carved out of segments;
@@ -136,10 +141,15 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// mapSegment obtains one segment from the configured backend.
+// mapSegment obtains one segment from the configured backend. mmap
+// aligns only to the OS page, which may be smaller than blockAlign, so
+// an mmap segment maps one extra block of address space and carving
+// starts at its first blockAlign boundary; the unused pages are never
+// touched. A heap segment is a large object, which the Go allocator
+// starts on an 8 KiB page boundary.
 func (s *Store) mapSegment(size int) ([]byte, error) {
 	if s.useMmap {
-		b, err := sysMap(size)
+		b, err := sysMap(size + blockAlign)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMapFailed, err)
 		}
@@ -215,7 +225,8 @@ func (s *Store) carveLocked(cs int) (unsafe.Pointer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.segs = append(s.segs, segment{buf: buf, mapped: s.useMmap})
+	pad := -int(uintptr(unsafe.Pointer(&buf[0]))) & (blockAlign - 1)
+	s.segs = append(s.segs, segment{buf: buf[pad : pad+segSize], raw: buf, mapped: s.useMmap})
 	s.stats.Segments++
 	s.stats.MappedBytes += int64(segSize)
 	s.stats.Maps++
@@ -277,7 +288,7 @@ func (s *Store) Close() error {
 	var first error
 	for _, seg := range segs {
 		if seg.mapped {
-			if err := sysUnmap(seg.buf); err != nil && first == nil {
+			if err := sysUnmap(seg.raw); err != nil && first == nil {
 				first = fmt.Errorf("%w: unmap: %v", ErrMapFailed, err)
 			}
 		}

@@ -449,10 +449,8 @@ func TestRevokeOwnerExpectGuard(t *testing.T) {
 // and hands the region to the parked waiter.
 func TestOwnerWatchdogFlagsAndRevokes(t *testing.T) {
 	a := NewArena(WithMetrics())
-	wd := NewOwnerWatchdog(a, time.Hour, nil)
+	wd := NewOwnerWatchdog(a, time.Hour)
 	wd.ForceReleaseAfter = 3 * time.Hour
-	a.SetTracer(wd)
-	defer a.SetTracer(nil)
 	clock := time.Now()
 	wd.now = func() time.Time { return clock }
 
@@ -529,38 +527,65 @@ func TestOwnerWatchdogFlagsAndRevokes(t *testing.T) {
 	}
 }
 
-// The watchdog's pending notebook follows releases: a legitimately
-// released region is forgotten, a released-and-reacquired region starts
-// a fresh clock, and Start/Stop run the revocation loop end to end.
+// The watchdog reads each region's current ownership: a released
+// region is not flagged however old its last token was, and a
+// re-acquired region — by TryAcquire or by hand-off to a parked waiter
+// — gets a fresh threshold from its new token's acquire time. Start/Stop
+// run the revocation loop end to end.
 func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	a := NewArena()
-	wd := NewOwnerWatchdog(a, time.Hour, nil)
-	a.SetTracer(wd)
-	defer a.SetTracer(nil)
-	clock := time.Now()
-	wd.now = func() time.Time { return clock }
+	wd := NewOwnerWatchdog(a, time.Hour)
+	// age backdates the region's current token by two hours, as if it
+	// had been acquired long ago.
+	age := func(r *Region) {
+		r.mu.Lock()
+		r.acquiredAt = r.acquiredAt.Add(-2 * time.Hour)
+		r.mu.Unlock()
+	}
 
 	r := a.NewRegion()
 	own, err := r.TryAcquire()
 	if err != nil {
 		t.Fatal(err)
 	}
+	age(r)
+	if stale := wd.Check(); len(stale) != 1 || stale[0].ID != r.ID() {
+		t.Fatalf("Check = %+v, want the aged token on region %d flagged", stale, r.ID())
+	}
 	if err := own.Release(); err != nil {
 		t.Fatal(err)
 	}
-	clock = clock.Add(2 * time.Hour)
 	if stale := wd.Check(); stale != nil {
 		t.Fatalf("flagged a released region: %+v", stale)
 	}
-	// Reacquired: the clock restarts at the new acquire.
-	own2, err := r.TryAcquire()
+	// Reacquired: the threshold restarts at the new acquire.
+	own, err = r.TryAcquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stale := wd.Check(); stale != nil {
 		t.Fatalf("flagged a fresh reacquisition: %+v", stale)
 	}
-	if err := own2.Release(); err != nil {
+	// Handed off: the parked waiter's token is fresh, however old the
+	// releasing token was.
+	got := make(chan *Owner, 1)
+	go func() {
+		tok, err := r.AcquireContext(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		got <- tok
+	}()
+	waitForWaiters(t, r, 1)
+	age(r)
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	own = <-got
+	if stale := wd.Check(); stale != nil {
+		t.Fatalf("flagged a fresh hand-off: %+v", stale)
+	}
+	if err := own.Release(); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Delete(); err != nil {
@@ -568,9 +593,8 @@ func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	}
 
 	// Start/Stop: a wedged owner is revoked by the background loop.
-	wd2 := NewOwnerWatchdog(a, time.Millisecond, nil)
+	wd2 := NewOwnerWatchdog(a, time.Millisecond)
 	wd2.ForceReleaseAfter = 2 * time.Millisecond
-	a.SetTracer(wd2)
 	r2 := a.NewRegion()
 	if _, err := r2.TryAcquire(); err != nil { // wedged: token abandoned
 		t.Fatal(err)

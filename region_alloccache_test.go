@@ -228,49 +228,6 @@ func TestAllocCacheConcurrentRefillVsDelete(t *testing.T) {
 	}
 }
 
-// SetAllocCache(false) routes new regions down the pre-cache slow path:
-// counters update directly, no delta cache is built, and the two paths
-// keep identical accounting within one arena.
-func TestAllocCacheDisabled(t *testing.T) {
-	a := NewArena()
-	a.SetAllocCache(false)
-	slow := a.NewRegion()
-	for i := 0; i < 10; i++ {
-		if _, err := TryAlloc[cachePayload](slow); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := slow.objs.Load(); got != 10 {
-		t.Fatalf("slow path objs = %d, want 10 (counted directly)", got)
-	}
-	if slow.acache.Load() != nil {
-		t.Fatal("slow path built a delta cache")
-	}
-	a.SetAllocCache(true)
-	fast := a.NewRegion()
-	if _, err := TryAlloc[cachePayload](fast); err != nil {
-		t.Fatal(err)
-	}
-	if got := fast.objs.Load(); got != 0 {
-		t.Fatalf("fast path objs = %d before a flush point, want 0", got)
-	}
-	if got := a.LiveObjects(); got != 11 {
-		t.Fatalf("LiveObjects = %d across both paths, want 11", got)
-	}
-	if err := slow.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LiveObjects(); got != 0 {
-		t.Fatalf("LiveObjects = %d after deletes, want 0", got)
-	}
-	if rep := a.Audit(); !rep.OK {
-		t.Fatalf("audit:\n%s", rep)
-	}
-}
-
 // A refused chunk refill (the rcgo/alloc.refill failpoint) surfaces
 // before the object is counted: nothing unwinds, nothing leaks into the
 // arena totals, and the next attempt succeeds once disarmed.

@@ -90,13 +90,6 @@ type Arena struct {
 	advisor atomic.Pointer[arenaAdvisor]
 	tracer  atomic.Pointer[tracerBox]
 
-	// allocSlow disables the allocation fast path (region_alloccache.go)
-	// for regions created after WithAllocCache(false) / the deprecated
-	// SetAllocCache(false) — the A/B ablation knob. Snapshotted per
-	// region at creation so the hot path never chases a pointer through
-	// the arena.
-	allocSlow atomic.Bool
-
 	// backing is the off-heap page store behind slab-backed object
 	// chunks (region_slab.go); nil — the default — means every chunk is
 	// an ordinary GC-heap allocation. Immutable after construction
@@ -128,10 +121,8 @@ type Region struct {
 	advisor atomic.Pointer[arenaAdvisor]
 
 	// acache is the lazily-created allocation delta cache
-	// (region_alloccache.go); allocSlow (immutable after creation)
-	// routes TryAlloc to the pre-cache slow path instead.
-	acache    atomic.Pointer[allocCache]
-	allocSlow bool
+	// (region_alloccache.go).
+	acache atomic.Pointer[allocCache]
 
 	// mu serializes lifecycle decisions. The counters stay atomic so the
 	// reference fast paths (incRC/decRC) and stat reads never block on it.
@@ -173,11 +164,14 @@ type Region struct {
 	// splices out the quitter, Owner.Delete fails the whole queue.
 	// acquiredAt/acquirePC/acquirePCN (also mu-guarded) record when and
 	// where the current token was minted, for the OwnerWatchdog's
-	// stale-owner reports and the /owners inspector.
+	// stale-owner reports and the /owners inspector. deferredAt (also
+	// mu-guarded) records when DeleteDeferred made the region a zombie,
+	// for the ZombieWatchdog's age threshold.
 	waitq      []*acquireWaiter
 	acquiredAt time.Time
 	acquirePC  [acquirePCDepth]uintptr
 	acquirePCN int
+	deferredAt time.Time
 	// contendedWaits counts waiters ever parked on this region
 	// (cumulative, monotone), read lock-free by the /owners
 	// top-contended table.
@@ -229,7 +223,7 @@ func (r *Region) ID() int64 { return r.id }
 // Registration happens after the parent pointer is set so the debug
 // inspector never observes a half-built region.
 func (a *Arena) newRegion(parent *Region) *Region {
-	r := &Region{arena: a, parent: parent, allocSlow: a.allocSlow.Load()}
+	r := &Region{arena: a, parent: parent}
 	idx := a.shardIndexFor(unsafe.Pointer(r))
 	sh := &a.shards[idx]
 	r.shard = sh
@@ -316,9 +310,6 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err := fpAllocAdmission.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
 	}
-	if r.allocSlow {
-		return tryAllocSlow[T](r)
-	}
 	o, err := newChunkedObj[T](r)
 	if err != nil {
 		return nil, err
@@ -348,33 +339,6 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
 		}
 	}
-}
-
-// tryAllocSlow is the pre-cache allocation path, kept as the
-// SetAllocCache(false) ablation baseline: per-object lifecycle mutex
-// plus direct updates of the shared counters.
-func tryAllocSlow[T any](r *Region) (*Obj[T], error) {
-	o := &Obj[T]{region: r}
-	r.mu.Lock()
-	switch r.state.Load() {
-	case stateAlive:
-	case stateOwned:
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionOwned, r.id)
-	default:
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
-	}
-	// Under mu: a racing Delete either admits this object before its
-	// decision (and its reclaim accounts for it) or has already marked
-	// the region and we fail above. Object accounting stays exact.
-	r.objs.Add(1)
-	r.shard.liveObjs.Add(1)
-	r.mu.Unlock()
-	if c := r.counters(); c != nil {
-		c.allocs.Add(1)
-	}
-	return o, nil
 }
 
 // Region returns the region holding the object.
@@ -412,9 +376,15 @@ func (r *Region) settled() int32 {
 // makes it linearizable against Delete: the increment is published
 // first, then the state is checked — so either a concurrent Delete sees
 // the reference and fails with ErrRegionInUse, or it has already
-// committed and this call observes that and rolls back.
+// committed and this call observes that and rolls back. A caller that
+// arrives while a delete is already deciding waits for the decision
+// without publishing an increment, so it cannot spoil that delete.
 func (r *Region) incRC() error {
 	for {
+		if r.state.Load() == stateDying {
+			runtime.Gosched()
+			continue
+		}
 		r.rc.Add(1)
 		// Failpoint inside the increment-then-validate window: an
 		// injected error is a reference creation failing mid-protocol and
@@ -637,6 +607,7 @@ func (r *Region) DeleteDeferred() {
 		r.reclaim()
 		return
 	}
+	r.deferredAt = time.Now()
 	r.state.Store(stateZombie)
 	r.shard.liveRegions.Add(-1)
 	r.shard.deferredRegions.Add(1)

@@ -152,6 +152,11 @@ type BlockedRegion struct {
 	// but are not registered slots, i.e. in-flight stores or counted
 	// references about to be withdrawn. Transient by construction.
 	Unaccounted int64 `json:"unaccounted,omitempty"`
+
+	// region and deferredAt are the zombie and the time DeleteDeferred
+	// made it one, for the ZombieWatchdog, which reads nothing else.
+	region     *Region
+	deferredAt time.Time
 }
 
 // BlockedDeleters reports every zombie region and what pins it, by
@@ -197,7 +202,11 @@ func (a *Arena) BlockedDeleters() []BlockedRegion {
 		if st.Reclaimed {
 			continue // drained while we were scanning
 		}
-		br := BlockedRegion{ID: z.id, RC: st.RC, Pins: st.Pins, Subregions: st.Subregions}
+		z.mu.Lock()
+		deferredAt := z.deferredAt
+		z.mu.Unlock()
+		br := BlockedRegion{ID: z.id, RC: st.RC, Pins: st.Pins, Subregions: st.Subregions,
+			region: z, deferredAt: deferredAt}
 		var slotRefs int64
 		for id, n := range holders[z] {
 			br.Holders = append(br.Holders, BlockedHolder{HolderRegion: id, Slots: n})
@@ -267,18 +276,18 @@ func (a *Arena) Owners() OwnersReport {
 	rep := OwnersReport{Owned: []OwnedRegionInfo{}}
 	now := time.Now()
 	a.EachRegion(func(r *Region) {
-		held, _, since, site, depth := r.ownerInfo()
-		if held {
+		s := r.ownerInfo()
+		if s.owner != nil {
 			rep.Owned = append(rep.Owned, OwnedRegionInfo{
 				ID:          r.id,
-				HeldFor:     now.Sub(since),
-				AcquireSite: site,
-				QueueDepth:  depth,
+				HeldFor:     now.Sub(s.since),
+				AcquireSite: s.site(),
+				QueueDepth:  s.depth,
 			})
 		}
 		if waits := r.contendedWaits.Load(); waits > 0 {
 			rep.TopContended = append(rep.TopContended, ContendedRegion{
-				ID: r.id, Waits: waits, QueueDepth: depth,
+				ID: r.id, Waits: waits, QueueDepth: s.depth,
 			})
 		}
 	})

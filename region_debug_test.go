@@ -89,8 +89,16 @@ func TestHierarchyAndDot(t *testing.T) {
 	if len(roots) != 3 {
 		t.Fatalf("got %d roots, want 3 (traditional, top, zombie)", len(roots))
 	}
-	if !roots[0].Traditional || roots[0].State != "alive" {
-		t.Fatalf("first root should be the alive traditional region, got %+v", roots[0])
+	// Roots are sorted by id, and ids are shard-encoded, so the
+	// traditional region is a root but not necessarily the first one.
+	var trad *RegionInfo
+	for _, n := range roots {
+		if n.ID == a.Traditional().ID() {
+			trad = n
+		}
+	}
+	if trad == nil || !trad.Traditional || trad.State != "alive" {
+		t.Fatalf("traditional region should be an alive root, got %+v", trad)
 	}
 	tn := findRegion(roots, top.ID())
 	if tn == nil || len(tn.Children) != 1 || tn.Children[0].ID != kid.ID() {

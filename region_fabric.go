@@ -104,12 +104,11 @@ type regionShard struct {
 type Option func(*arenaConfig)
 
 type arenaConfig struct {
-	shards     int
-	metrics    bool
-	advisor    bool
-	tracer     Tracer
-	allocCache bool
-	backing    BackingStore
+	shards  int
+	metrics bool
+	advisor bool
+	tracer  Tracer
+	backing BackingStore
 }
 
 // WithShards fixes the number of internal fabric shards. n is clamped
@@ -132,20 +131,10 @@ func WithMetrics() Option {
 }
 
 // WithTracer installs t as the arena's lifecycle tracer from birth; the
-// traditional region's creation is the first event delivered. A tracer
-// that needs the arena handle to construct (such as a ZombieWatchdog
-// chain) cannot exist before NewArena returns; install it afterwards
-// with SetTracer, which remains supported for exactly that pattern.
+// traditional region's creation is the first event delivered. SetTracer
+// swaps it mid-life.
 func WithTracer(t Tracer) Option {
 	return func(c *arenaConfig) { c.tracer = t }
-}
-
-// WithAllocCache enables (true, the default) or disables the allocation
-// fast path (region_alloccache.go) for the arena's regions — the A/B
-// ablation knob, equivalent to the deprecated SetAllocCache called
-// before any region is created.
-func WithAllocCache(enabled bool) Option {
-	return func(c *arenaConfig) { c.allocCache = enabled }
 }
 
 // defaultShardCount derives the fabric width from GOMAXPROCS at
@@ -176,16 +165,15 @@ func clampShards(n int) int {
 //		rcgo.WithMetrics(),          // cumulative op counters from birth
 //		rcgo.WithAdvisor(),          // annotation advisor from birth
 //		rcgo.WithTracer(tracer),     // lifecycle tracer from birth
-//		rcgo.WithAllocCache(true),   // allocation fast path (the default)
 //		rcgo.WithOffHeapSlabs(),     // off-heap slab backing store (region_slab.go)
 //	)
 //
 // NewArena() with no options is the previous constructor, unchanged in
 // behaviour apart from the fabric defaulting to a GOMAXPROCS-derived
-// shard count. The deprecated knob setters (EnableMetrics,
-// SetAllocCache) remain as thin wrappers over the same configuration.
+// shard count. The deprecated EnableMetrics remains as a thin wrapper
+// over the same configuration.
 func NewArena(opts ...Option) *Arena {
-	cfg := arenaConfig{shards: 0, allocCache: true}
+	var cfg arenaConfig
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
@@ -200,7 +188,6 @@ func NewArena(opts ...Option) *Arena {
 		shardMask: uint64(n - 1),
 		backing:   cfg.backing,
 	}
-	a.allocSlow.Store(!cfg.allocCache)
 	if cfg.metrics {
 		// Stored before any region exists, so every region arms its gate
 		// in newRegion and no walk is needed.

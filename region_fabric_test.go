@@ -107,34 +107,20 @@ func TestDeprecatedSettersStillWork(t *testing.T) {
 		t.Fatalf("Counters().Allocs = %d after EnableMetrics+Alloc, want 1", got)
 	}
 
-	// SetAllocCache(false) routes new regions down the slow path; both
-	// paths keep counters exact.
-	b := NewArena()
-	b.SetAllocCache(false)
-	s := b.NewRegion()
-	if !s.allocSlow {
-		t.Fatal("SetAllocCache(false) did not mark new regions slow-path")
-	}
-	Alloc[fabricNode](s)
-	if got := b.LiveObjects(); got != 1 {
-		t.Fatalf("LiveObjects = %d on slow path, want 1", got)
-	}
-
 	// SetTracer still installs a tracer mid-life.
 	ring := NewRingTracer(64)
-	b.SetTracer(ring)
-	b.NewRegion()
+	a.SetTracer(ring)
+	a.NewRegion()
 	if ring.Total() == 0 {
 		t.Fatal("SetTracer-installed tracer saw no events")
 	}
 }
 
 // Options configure the arena from birth: WithMetrics counts the whole
-// life, WithTracer sees the traditional region's creation, and
-// WithAllocCache(false) is SetAllocCache before any region exists.
+// life and WithTracer sees the traditional region's creation.
 func TestArenaOptions(t *testing.T) {
 	ring := NewRingTracer(64)
-	a := NewArena(WithMetrics(), WithTracer(ring), WithAllocCache(false))
+	a := NewArena(WithMetrics(), WithTracer(ring))
 	if !a.MetricsEnabled() {
 		t.Fatal("WithMetrics did not enable metrics")
 	}
@@ -143,9 +129,6 @@ func TestArenaOptions(t *testing.T) {
 		t.Fatalf("first traced event = %+v, want the traditional region's creation", evs)
 	}
 	r := a.NewRegion()
-	if !r.allocSlow {
-		t.Fatal("WithAllocCache(false) did not mark new regions slow-path")
-	}
 	Alloc[fabricNode](r)
 	if got := a.Counters().Allocs; got != 1 {
 		t.Fatalf("Counters().Allocs = %d, want 1", got)

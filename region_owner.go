@@ -698,32 +698,47 @@ func (r *Region) revokeOwner(expect *Owner) bool {
 	return true
 }
 
-// ownerInfo samples the ownership picture of the region under mu, for
-// the OwnerWatchdog and the /owners inspector: whether it is owned, the
-// current token, when and where it was acquired, and the wait-queue
-// depth.
-func (r *Region) ownerInfo() (held bool, o *Owner, since time.Time, site string, depth int) {
-	r.mu.Lock()
-	if r.state.Load() != stateOwned {
-		r.mu.Unlock()
-		return false, nil, time.Time{}, "", 0
-	}
-	o = r.owner.Load()
-	since = r.acquiredAt
-	pcs := r.acquirePC
-	npc := r.acquirePCN
-	depth = len(r.waitq)
-	r.mu.Unlock()
-	return true, o, since, acquireSite(pcs, npc), depth
+// ownerState is one region's ownership picture as ownerInfo samples it
+// under mu: the current token (nil when the region is not owned), when
+// and where it was minted, and the wait-queue depth.
+type ownerState struct {
+	owner *Owner
+	since time.Time
+	pcs   [acquirePCDepth]uintptr
+	npc   int
+	depth int
 }
 
-// acquireSite renders a recorded acquire call stack as "file:line (fn)",
-// or "" when no frames were captured.
-func acquireSite(pcs [acquirePCDepth]uintptr, npc int) string {
-	if npc <= 0 {
+// ownerInfo samples the region's ownership state; a registry walk
+// calling it per region is the one walk behind Arena.Owners and
+// OwnerWatchdog.Check. A region seen unowned without the lock is
+// reported unowned without taking it.
+func (r *Region) ownerInfo() ownerState {
+	if r.state.Load() != stateOwned {
+		return ownerState{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state.Load() != stateOwned {
+		return ownerState{}
+	}
+	return ownerState{
+		owner: r.owner.Load(),
+		since: r.acquiredAt,
+		pcs:   r.acquirePC,
+		npc:   r.acquirePCN,
+		depth: len(r.waitq),
+	}
+}
+
+// site renders the recorded acquire call stack as "file:line (fn)", or
+// "" when no frames were captured. Symbolizing is the expensive part of
+// a sample, so callers render it only for the rows they report.
+func (s *ownerState) site() string {
+	if s.npc <= 0 {
 		return ""
 	}
-	frames := runtime.CallersFrames(pcs[:npc])
+	frames := runtime.CallersFrames(s.pcs[:s.npc])
 	for {
 		f, more := frames.Next()
 		if f.Function != "" {
@@ -762,14 +777,9 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 	if o.revoked.Load() {
 		return nil, fmt.Errorf("%w: owned allocation", ErrOwnerRevoked)
 	}
-	var obj *Obj[T]
-	if r.allocSlow {
-		obj = &Obj[T]{region: r}
-	} else {
-		var err error
-		if obj, err = newChunkedObj[T](r); err != nil {
-			return nil, err
-		}
+	obj, err := newChunkedObj[T](r)
+	if err != nil {
+		return nil, err
 	}
 	o.objs++
 	o.m.allocs++

@@ -177,7 +177,13 @@ type TraceEvent struct {
 
 // Tracer observes region lifecycle events. Implementations must be safe
 // for concurrent use: events are delivered from whatever goroutine
-// performed the transition, with no ordering guarantee across regions.
+// performed the transition, after it has released the region's lock.
+// There is no ordering guarantee, not even for one region: an
+// Owner.Release's released event can arrive after the acquired event
+// of the successor that took the region in between. A consumer that
+// needs a region's current state reads it from the arena (Stats,
+// Owners, BlockedDeleters) rather than replaying events; the watchdogs
+// do exactly that.
 type Tracer interface {
 	Trace(ev TraceEvent)
 }
@@ -197,8 +203,7 @@ func (NopTracer) Trace(TraceEvent) {}
 // Prefer WithTracer at construction when the tracer exists before the
 // arena does — it then sees every event from the traditional region's
 // creation on. SetTracer remains fully supported (not deprecated) for
-// tracers that need the arena handle to construct, such as a
-// ZombieWatchdog chain, and for swapping tracers mid-life.
+// swapping tracers mid-life.
 func (a *Arena) SetTracer(t Tracer) {
 	if t == nil {
 		a.tracer.Store(nil)
@@ -311,44 +316,25 @@ func (t *RingTracer) TraceStats() TraceStats {
 	}
 }
 
-// traceStats walks the installed tracer chain (unwrapping wrappers like
-// ZombieWatchdog) to the first tracer that exposes ring statistics.
+// traceStats returns the installed tracer's ring statistics, if it
+// exposes them (a RingTracer does).
 func (a *Arena) traceStats() (TraceStats, bool) {
-	b := a.tracer.Load()
-	if b == nil {
-		return TraceStats{}, false
-	}
-	for t := b.t; t != nil; {
-		if ts, ok := t.(interface{ TraceStats() TraceStats }); ok {
+	if b := a.tracer.Load(); b != nil {
+		if ts, ok := b.t.(interface{ TraceStats() TraceStats }); ok {
 			return ts.TraceStats(), true
 		}
-		u, ok := t.(interface{ Unwrap() Tracer })
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
 	}
 	return TraceStats{}, false
 }
 
-// traceEvents walks the installed tracer chain (unwrapping wrappers
-// like ZombieWatchdog) to the first tracer that exposes its buffered
-// events — a RingTracer, or anything else with an Events method — for
-// the debug inspector's /trace endpoint.
+// traceEvents returns the installed tracer's buffered events, if it
+// exposes them — a RingTracer, or anything else with an Events method —
+// for the debug inspector's /trace endpoint.
 func (a *Arena) traceEvents() ([]TraceEvent, bool) {
-	b := a.tracer.Load()
-	if b == nil {
-		return nil, false
-	}
-	for t := b.t; t != nil; {
-		if ev, ok := t.(interface{ Events() []TraceEvent }); ok {
+	if b := a.tracer.Load(); b != nil {
+		if ev, ok := b.t.(interface{ Events() []TraceEvent }); ok {
 			return ev.Events(), true
 		}
-		u, ok := t.(interface{ Unwrap() Tracer })
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
 	}
 	return nil, false
 }

@@ -17,9 +17,9 @@ import (
 // gone needs a retry policy, and an operator needs to know when a
 // deferred-deleted region is never going to drain. This file provides
 // both: DeleteWithRetry (bounded, jittered exponential backoff under a
-// context) and ZombieWatchdog (tracer-driven detection of zombies older
-// than a threshold, named with the holders that pin them, healing lost
-// drain wakeups along the way).
+// context) and ZombieWatchdog (polling detection of zombies older than
+// a threshold, named with the holders that pin them, healing lost drain
+// wakeups along the way).
 
 // Backoff configures DeleteWithRetry's jittered exponential backoff.
 // The zero value is usable: 1ms initial, 100ms cap, doubling, half the
@@ -142,33 +142,28 @@ type StuckZombie struct {
 }
 
 // ZombieWatchdog flags deferred-deleted regions that fail to reclaim
-// within a threshold. It is a Tracer: install it with Arena.SetTracer
-// (chaining any previous tracer through next) and it learns zombie
-// birth and reclaim times from the TraceRegionDeferred /
-// TraceRegionReclaimed events. Each Check (called directly, or
-// periodically after Start):
+// within a threshold. It polls arena state: each Check (called
+// directly, or periodically after Start) walks the blocked-deleters
+// report, which lists every zombie with its holders and the time
+// DeleteDeferred made it a zombie, so a watchdog created late still
+// sees zombies deferred before it existed. One pass:
 //
 //  1. heals lost drain wakeups — a zombie past the threshold that is
 //     already drained (rc 0, no subregions) is reclaimed on the spot,
 //     not flagged;
 //  2. flags every zombie past the threshold that is genuinely pinned,
-//     naming the pinning holder regions via the blocked-deleters scan,
-//     and delivers each report to the OnStuck callback (if set).
+//     naming the pinning holder regions, and delivers each report to
+//     the OnStuck callback (if set).
 type ZombieWatchdog struct {
 	arena     *Arena
-	next      Tracer
 	threshold time.Duration
 
 	// OnStuck, if non-nil, receives every flagged zombie, once per
-	// Check that finds it still stuck. Set before installing the
-	// watchdog as a tracer.
+	// Check that finds it still stuck. Set before calling Start.
 	OnStuck func(StuckZombie)
 
 	// now is the clock, injectable in tests.
 	now func() time.Time
-
-	mu      sync.Mutex
-	pending map[int64]time.Time // zombie id -> when it was deferred
 
 	flagged atomic.Int64
 	healed  atomic.Int64
@@ -179,101 +174,42 @@ type ZombieWatchdog struct {
 }
 
 // NewZombieWatchdog creates a watchdog for a with the given age
-// threshold. next, if non-nil, receives every trace event after the
-// watchdog has seen it, so a RingTracer keeps working underneath:
-//
-//	ring := rcgo.NewRingTracer(1024)
-//	w := rcgo.NewZombieWatchdog(arena, time.Second, ring)
-//	arena.SetTracer(w)
-func NewZombieWatchdog(a *Arena, threshold time.Duration, next Tracer) *ZombieWatchdog {
-	return &ZombieWatchdog{
-		arena:     a,
-		next:      next,
-		threshold: threshold,
-		now:       time.Now,
-		pending:   make(map[int64]time.Time),
-	}
+// threshold. It needs no installation: call Check, or Start it. A
+// tracer, if any, is installed on the arena independently.
+func NewZombieWatchdog(a *Arena, threshold time.Duration) *ZombieWatchdog {
+	return &ZombieWatchdog{arena: a, threshold: threshold, now: time.Now}
 }
-
-// Trace implements Tracer: zombie births and reclaims update the
-// pending set; every event is forwarded to the chained tracer.
-func (w *ZombieWatchdog) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case TraceRegionDeferred:
-		w.mu.Lock()
-		w.pending[ev.Region] = w.now()
-		w.mu.Unlock()
-	case TraceRegionReclaimed:
-		w.mu.Lock()
-		delete(w.pending, ev.Region)
-		w.mu.Unlock()
-	}
-	if w.next != nil {
-		w.next.Trace(ev)
-	}
-}
-
-// Unwrap returns the chained tracer, so inspectors (DebugHandler's
-// trace stats) can reach a RingTracer underneath the watchdog.
-func (w *ZombieWatchdog) Unwrap() Tracer { return w.next }
 
 // Check runs one watchdog pass and returns the zombies flagged as
 // stuck, sorted by id. See the type comment for what one pass does.
 func (w *ZombieWatchdog) Check() []StuckZombie {
 	now := w.now()
-	w.mu.Lock()
-	var due []int64
-	for id, since := range w.pending {
-		if now.Sub(since) >= w.threshold {
-			due = append(due, id)
-		}
-	}
-	w.mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-
-	// The blocked-deleters scan names the holders; index it by zombie.
-	blocked := make(map[int64]BlockedRegion)
-	for _, br := range w.arena.BlockedDeleters() {
-		blocked[br.ID] = br
-	}
-
 	var stuck []StuckZombie
-	for _, id := range due {
-		r := w.arena.findRegion(id)
-		if r == nil {
-			// Reclaimed between the event and this pass; the reclaim
-			// event will (or did) clear pending.
-			w.forget(id)
+	for _, br := range w.arena.BlockedDeleters() {
+		age := now.Sub(br.deferredAt)
+		if age < w.threshold {
 			continue
 		}
-		st := r.Stats()
-		if !st.Deferred {
-			w.forget(id)
-			continue
-		}
-		if st.RC == 0 && st.Subregions == 0 {
+		if br.RC == 0 && br.Subregions == 0 {
 			// Drained but unreclaimed: a lost wakeup. Heal, don't flag.
-			if r.drain(true) {
+			if br.region.drain(true) {
 				w.healed.Add(1)
-				w.forget(id)
 				continue
 			}
-			// Lost the race with a pin/drain; re-read below.
-			st = r.Stats()
+			// Lost the race with another drainer; re-read.
+			st := br.region.Stats()
 			if !st.Deferred {
-				w.forget(id)
 				continue
 			}
+			br.RC, br.Pins, br.Subregions = st.RC, st.Pins, st.Subregions
 		}
 		sz := StuckZombie{
-			ID:         id,
-			Age:        now.Sub(w.since(id)),
-			RC:         st.RC,
-			Pins:       st.Pins,
-			Subregions: st.Subregions,
-			Holders:    blocked[id].Holders,
+			ID:         br.ID,
+			Age:        age,
+			RC:         br.RC,
+			Pins:       br.Pins,
+			Subregions: br.Subregions,
+			Holders:    br.Holders,
 		}
 		stuck = append(stuck, sz)
 		w.flagged.Add(1)
@@ -282,18 +218,6 @@ func (w *ZombieWatchdog) Check() []StuckZombie {
 		}
 	}
 	return stuck
-}
-
-func (w *ZombieWatchdog) forget(id int64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
-}
-
-func (w *ZombieWatchdog) since(id int64) time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pending[id]
 }
 
 // Flagged returns the cumulative number of stuck-zombie reports made.
@@ -365,19 +289,17 @@ type StaleOwner struct {
 // threshold — the ownership analogue of ZombieWatchdog, for the failure
 // mode where a goroutine acquires a region and then stalls or crashes
 // without releasing, wedging every parked AcquireContext waiter behind
-// it. It is a Tracer: install it with Arena.SetTracer (chaining any
-// previous tracer through next) and it learns acquire and release times
-// from the TraceRegionAcquired / TraceRegionReleased /
-// TraceOwnerRevoked events. Each Check (called directly, or
-// periodically after Start):
+// it. Like ZombieWatchdog it polls arena state: each Check (called
+// directly, or periodically after Start) walks the registry the way
+// Arena.Owners does and reads every owned region's own acquire
+// timestamp, so a hand-off that re-minted the token gives the new
+// holder a full threshold, and a watchdog created late still sees
+// regions acquired before it existed. One pass:
 //
-//  1. verifies against the region's own acquire timestamp — a region
-//     whose token was handed onward since the trace event is younger
-//     than the watchdog's notebook says and is skipped, not flagged;
-//  2. flags every region owned past the threshold, reporting the
+//  1. flags every region owned past the threshold, reporting the
 //     holder's acquire site and the current queue depth to the OnStale
 //     callback (if set);
-//  3. optionally, when ForceReleaseAfter is set and exceeded, revokes
+//  2. optionally, when ForceReleaseAfter is set and exceeded, revokes
 //     the stale token (Region.revokeOwner): the token fails every
 //     subsequent operation with ErrOwnerRevoked, its unflushed deltas
 //     are discarded, and the region is handed to the next waiter or
@@ -386,24 +308,19 @@ type StaleOwner struct {
 //     hands and is only safe when the owner is known to be wedged.
 type OwnerWatchdog struct {
 	arena     *Arena
-	next      Tracer
 	threshold time.Duration
 
 	// ForceReleaseAfter, when positive, is the held-age beyond which a
 	// Check forcibly revokes the stale token. Zero disables forced
-	// release (detection only). Set before installing the watchdog.
+	// release (detection only). Set before calling Start.
 	ForceReleaseAfter time.Duration
 
 	// OnStale, if non-nil, receives every flagged stale owner, once per
-	// Check that finds it still held. Set before installing the
-	// watchdog as a tracer.
+	// Check that finds it still held. Set before calling Start.
 	OnStale func(StaleOwner)
 
 	// now is the clock, injectable in tests.
 	now func() time.Time
-
-	mu      sync.Mutex
-	pending map[int64]time.Time // owned region id -> when acquired
 
 	flagged atomic.Int64
 	revoked atomic.Int64
@@ -414,99 +331,38 @@ type OwnerWatchdog struct {
 }
 
 // NewOwnerWatchdog creates an owner watchdog for a with the given
-// held-age threshold. next, if non-nil, receives every trace event
-// after the watchdog has seen it, so it chains with a RingTracer or a
-// ZombieWatchdog:
-//
-//	ring := rcgo.NewRingTracer(1024)
-//	w := rcgo.NewOwnerWatchdog(arena, time.Second, ring)
-//	arena.SetTracer(w)
-func NewOwnerWatchdog(a *Arena, threshold time.Duration, next Tracer) *OwnerWatchdog {
-	return &OwnerWatchdog{
-		arena:     a,
-		next:      next,
-		threshold: threshold,
-		now:       time.Now,
-		pending:   make(map[int64]time.Time),
-	}
+// held-age threshold. It needs no installation: call Check, or Start
+// it. A tracer, if any, is installed on the arena independently.
+func NewOwnerWatchdog(a *Arena, threshold time.Duration) *OwnerWatchdog {
+	return &OwnerWatchdog{arena: a, threshold: threshold, now: time.Now}
 }
-
-// Trace implements Tracer: acquires start the clock on a region,
-// releases and revocations clear it; every event is forwarded to the
-// chained tracer. The hand-off protocol orders a released event before
-// the successor's acquired event (the release is sequenced before the
-// channel send that wakes the waiter), so the pending map never drops
-// an update from out-of-order delivery of one region's events.
-func (w *OwnerWatchdog) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case TraceRegionAcquired:
-		w.mu.Lock()
-		w.pending[ev.Region] = w.now()
-		w.mu.Unlock()
-	case TraceRegionReleased, TraceOwnerRevoked:
-		w.mu.Lock()
-		delete(w.pending, ev.Region)
-		w.mu.Unlock()
-	}
-	if w.next != nil {
-		w.next.Trace(ev)
-	}
-}
-
-// Unwrap returns the chained tracer, so inspectors (DebugHandler's
-// trace stats) can reach a RingTracer underneath the watchdog.
-func (w *OwnerWatchdog) Unwrap() Tracer { return w.next }
 
 // Check runs one watchdog pass and returns the regions flagged as
 // stalely owned, sorted by id. See the type comment for what one pass
 // does.
 func (w *OwnerWatchdog) Check() []StaleOwner {
 	now := w.now()
-	w.mu.Lock()
-	var due []int64
-	for id, since := range w.pending {
-		if now.Sub(since) >= w.threshold {
-			due = append(due, id)
+	type due struct {
+		r *Region
+		s ownerState
+	}
+	var dues []due
+	w.arena.EachRegion(func(r *Region) {
+		if s := r.ownerInfo(); s.owner != nil && now.Sub(s.since) >= w.threshold {
+			dues = append(dues, due{r, s})
 		}
-	}
-	w.mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	})
+	sort.Slice(dues, func(i, j int) bool { return dues[i].r.id < dues[j].r.id })
 
 	var stale []StaleOwner
-	for _, id := range due {
-		r := w.arena.findRegion(id)
-		if r == nil {
-			// Released and reclaimed between the event and this pass.
-			w.forget(id)
-			continue
-		}
-		held, owner, since, site, depth := r.ownerInfo()
-		if !held {
-			// Released since; the released event will (or did) clear
-			// pending.
-			w.forget(id)
-			continue
-		}
-		// The region's own timestamp is authoritative: a hand-off since
-		// the traced acquire re-minted the token, and the new holder gets
-		// its own full threshold. Update the notebook, don't flag.
-		age := now.Sub(since)
-		if age < w.threshold {
-			w.mu.Lock()
-			w.pending[id] = since
-			w.mu.Unlock()
-			continue
-		}
-		so := StaleOwner{ID: id, Age: age, AcquireSite: site, QueueDepth: depth}
-		if w.ForceReleaseAfter > 0 && age >= w.ForceReleaseAfter {
-			if r.revokeOwner(owner) {
-				so.Revoked = true
-				w.revoked.Add(1)
-				w.forget(id)
-			}
+	for _, d := range dues {
+		age := now.Sub(d.s.since)
+		so := StaleOwner{ID: d.r.id, Age: age, AcquireSite: d.s.site(), QueueDepth: d.s.depth}
+		// revokeOwner fails, and nothing happens, if the sampled token
+		// was released or handed on since the walk.
+		if w.ForceReleaseAfter > 0 && age >= w.ForceReleaseAfter && d.r.revokeOwner(d.s.owner) {
+			so.Revoked = true
+			w.revoked.Add(1)
 		}
 		stale = append(stale, so)
 		w.flagged.Add(1)
@@ -515,12 +371,6 @@ func (w *OwnerWatchdog) Check() []StaleOwner {
 		}
 	}
 	return stale
-}
-
-func (w *OwnerWatchdog) forget(id int64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
 }
 
 // Flagged returns the cumulative number of stale-owner reports made.

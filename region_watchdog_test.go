@@ -3,6 +3,7 @@ package rcgo
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,14 +88,11 @@ func TestDeleteWithRetryRetriesInjectedFailures(t *testing.T) {
 }
 
 // An aged, genuinely pinned zombie is flagged with its pinning holders
-// named; reclaiming it clears the pending set.
+// named; once it reclaims it is no longer reported.
 func TestWatchdogFlagsStuckZombie(t *testing.T) {
 	a := NewArena()
-	ring := NewRingTracer(64)
-	w := NewZombieWatchdog(a, time.Hour, ring)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
-	clock := time.Unix(1000, 0)
+	w := NewZombieWatchdog(a, time.Hour)
+	clock := time.Now()
 	w.now = func() time.Time { return clock }
 
 	holder := Alloc[auditNode](a.NewRegion())
@@ -115,7 +113,7 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 	if len(stuck) != 1 || stuck[0].ID != target.ID() {
 		t.Fatalf("Check = %+v, want exactly zombie %d", stuck, target.ID())
 	}
-	if stuck[0].RC != 1 || stuck[0].Age != 2*time.Hour {
+	if stuck[0].RC != 1 || stuck[0].Age < 2*time.Hour-time.Minute || stuck[0].Age > 2*time.Hour {
 		t.Errorf("flagged rc=%d age=%v, want rc=1 age=2h", stuck[0].RC, stuck[0].Age)
 	}
 	if len(stuck[0].Holders) != 1 || stuck[0].Holders[0].HolderRegion != holder.Region().ID() {
@@ -128,8 +126,8 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 		t.Errorf("Flagged = %d, want 1", w.Flagged())
 	}
 
-	// Clearing the reference reclaims the zombie; the reclaim event
-	// empties the pending set and the next Check is quiet.
+	// Clearing the reference reclaims the zombie, and the next Check
+	// is quiet.
 	if err := SetRef(holder, &holder.Value.Next, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +141,8 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 func TestWatchdogHealsLostDrain(t *testing.T) {
 	defer failpoint.DisableAll()
 	a := NewArena()
-	w := NewZombieWatchdog(a, time.Hour, nil)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
-	clock := time.Unix(1000, 0)
+	w := NewZombieWatchdog(a, time.Hour)
+	clock := time.Now()
 	w.now = func() time.Time { return clock }
 
 	r := a.NewRegion()
@@ -179,9 +175,7 @@ func TestWatchdogHealsLostDrain(t *testing.T) {
 func TestWatchdogStartStop(t *testing.T) {
 	defer failpoint.DisableAll()
 	a := NewArena()
-	w := NewZombieWatchdog(a, time.Millisecond, nil)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
+	w := NewZombieWatchdog(a, time.Millisecond)
 
 	r := a.NewRegion()
 	unpin := Pin(Alloc[auditNode](r))
@@ -205,5 +199,118 @@ func TestWatchdogStartStop(t *testing.T) {
 	w.Stop() // idempotent
 	if got := a.Stats().DeferredRegions; got != 0 {
 		t.Fatalf("DeferredRegions = %d, want 0", got)
+	}
+}
+
+// releaseGateTracer holds the first TraceRegionReleased event it sees
+// until the test opens the gate: the released event of Owner.Release is
+// emitted after r.mu is unlocked, so a successor's acquire can run (and
+// be traced) before it arrives.
+type releaseGateTracer struct {
+	once    sync.Once
+	arrived chan struct{}
+	gate    chan struct{}
+}
+
+func (t *releaseGateTracer) Trace(ev TraceEvent) {
+	if ev.Kind == TraceRegionReleased {
+		t.once.Do(func() {
+			close(t.arrived)
+			<-t.gate
+		})
+	}
+}
+
+// A token abandoned by a holder that re-acquired the region while the
+// previous holder's released event was still in flight is flagged and
+// revoked: the watchdog reads the region's ownership state, so the
+// order in which the two owners' events arrive does not matter.
+func TestOwnerWatchdogLateReleasedEvent(t *testing.T) {
+	a := NewArena()
+	gt := &releaseGateTracer{arrived: make(chan struct{}), gate: make(chan struct{})}
+	a.SetTracer(gt)
+	defer a.SetTracer(nil)
+	wd := NewOwnerWatchdog(a, time.Hour)
+	wd.ForceReleaseAfter = time.Hour
+
+	r := a.NewRegion()
+	own, err := r.TryAcquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan error, 1)
+	go func() { released <- own.Release() }()
+	// r.mu is unlocked and the released event is held: a successor
+	// acquires and walks away.
+	<-gt.arrived
+	if _, err := r.TryAcquire(); err != nil {
+		t.Fatal(err)
+	}
+	close(gt.gate)
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+
+	clock := time.Now().Add(2 * time.Hour)
+	wd.now = func() time.Time { return clock }
+	stale := wd.Check()
+	if len(stale) != 1 || stale[0].ID != r.ID() || !stale[0].Revoked {
+		t.Fatalf("Check = %+v, want region %d flagged and revoked", stale, r.ID())
+	}
+	if r.Owned() || a.Stats().OwnedRegions != 0 {
+		t.Fatalf("owned=%v OwnedRegions=%d after revocation, want the region free",
+			r.Owned(), a.Stats().OwnedRegions)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An owner watchdog created after the region was acquired still flags
+// and revokes the stale token.
+func TestOwnerWatchdogAttachedLate(t *testing.T) {
+	a := NewArena()
+	r := a.NewRegion()
+	if _, err := r.TryAcquire(); err != nil {
+		t.Fatal(err)
+	}
+	wd := NewOwnerWatchdog(a, time.Hour)
+	wd.ForceReleaseAfter = time.Hour
+	clock := time.Now().Add(2 * time.Hour)
+	wd.now = func() time.Time { return clock }
+
+	stale := wd.Check()
+	if len(stale) != 1 || stale[0].ID != r.ID() || !stale[0].Revoked {
+		t.Fatalf("Check = %+v, want region %d flagged and revoked", stale, r.ID())
+	}
+	if wd.Flagged() != 1 || wd.Revoked() != 1 {
+		t.Fatalf("Flagged %d, Revoked %d, want 1/1", wd.Flagged(), wd.Revoked())
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A zombie watchdog created after the region was deferred still flags
+// the stuck zombie.
+func TestWatchdogAttachedLateFlagsZombie(t *testing.T) {
+	a := NewArena()
+	r := a.NewRegion()
+	unpin := Pin(Alloc[auditNode](r))
+	r.DeleteDeferred()
+	wd := NewZombieWatchdog(a, time.Hour)
+	clock := time.Now().Add(2 * time.Hour)
+	wd.now = func() time.Time { return clock }
+
+	stuck := wd.Check()
+	if len(stuck) != 1 || stuck[0].ID != r.ID() || stuck[0].Pins != 1 {
+		t.Fatalf("Check = %+v, want zombie %d flagged with its pin", stuck, r.ID())
+	}
+	if stuck[0].Age < 2*time.Hour-time.Minute {
+		t.Errorf("flagged age = %v, want ~2h", stuck[0].Age)
+	}
+	unpin()
+	if stuck := wd.Check(); stuck != nil {
+		t.Fatalf("Check after reclaim = %+v, want none", stuck)
 	}
 }
