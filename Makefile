@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
+.PHONY: all build test test-short test-shuffle vet fmt-check staticcheck race check benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
 
 all: check
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to rewrite.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Static analysis beyond vet, when the tool is available. The gate must
 # work in hermetic containers that cannot install tools, so a missing
@@ -43,11 +47,11 @@ test-shuffle:
 race:
 	$(GO) test -race -short ./...
 
-# The default verification gate: build cleanliness, static analysis,
+# The default verification gate: build cleanliness, formatting, static analysis,
 # the full test suite, the race pass over the concurrent API, the
 # checked-in benchmark reports revalidated against the current schema,
 # and the documentation anchored to the tree it describes.
-check: vet staticcheck test test-shuffle race benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check
+check: vet fmt-check staticcheck test test-shuffle race benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check
 
 # Every committed rcbench report must still satisfy the benchlint
 # invariants — catches schema drift against historical BENCH_*.json.

@@ -22,7 +22,7 @@
 // counters, the blocked-deleters report, the annotation-advisor
 // profile, and the trace ring), publishes the same counters on
 // /debug/vars via expvar, and records region lifecycle events in a
-// lock-free ring tracer — the observability layer a real deployment
+// ring tracer — the observability layer a real deployment
 // would curl to answer "why is that retired epoch still alive, and who
 // is pinning it?".
 //

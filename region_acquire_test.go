@@ -618,6 +618,119 @@ func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	}
 }
 
+// ownerStamp reads the acquire time and stack depth recorded for the
+// region's current token.
+func ownerStamp(r *Region) (time.Time, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.acquiredAt, r.acquirePCN
+}
+
+// Owner observability is paid for only once a reader arms it. On an
+// arena nobody watches, neither TryAcquire, nor a parked waiter, nor the
+// hand-off to it records a time or a stack. After NewOwnerWatchdog, a
+// fresh token and a handed-off one both name the acquiring test frame.
+func TestOwnerObservabilityArmedByReaders(t *testing.T) {
+	a := NewArena()
+	r := a.NewRegion()
+	got := make(chan *Owner, 1)
+	park := func() {
+		go func() {
+			tok, err := r.AcquireContext(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			got <- tok
+		}()
+		waitForWaiters(t, r, 1)
+	}
+
+	own, err := r.TryAcquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, n := ownerStamp(r); !at.IsZero() || n != 0 {
+		t.Fatalf("unwatched TryAcquire recorded acquiredAt %v and %d PCs", at, n)
+	}
+	park()
+	r.mu.Lock()
+	npc := r.waitq[0].npc
+	r.mu.Unlock()
+	if npc != 0 {
+		t.Fatalf("unwatched waiter captured %d PCs", npc)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	own = <-got
+	if at, n := ownerStamp(r); !at.IsZero() || n != 0 {
+		t.Fatalf("unwatched hand-off recorded acquiredAt %v and %d PCs", at, n)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	wd := NewOwnerWatchdog(a, time.Hour)
+	clock := time.Now().Add(2 * time.Hour)
+	wd.now = func() time.Time { return clock }
+	if own, err = r.TryAcquire(); err != nil {
+		t.Fatal(err)
+	}
+	park()
+	stale := wd.Check()
+	if len(stale) != 1 || !strings.Contains(stale[0].AcquireSite, "region_acquire_test.go") {
+		t.Fatalf("watched TryAcquire: Check = %+v, want the acquiring test frame", stale)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	own = <-got
+	stale = wd.Check()
+	if len(stale) != 1 || !strings.Contains(stale[0].AcquireSite, "region_acquire_test.go") {
+		t.Fatalf("watched hand-off: Check = %+v, want the parked test frame", stale)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A token minted before anyone armed the owner observability still
+// shows in Owners, with no acquire site and held from Owners' first
+// look at it — never for a negative duration.
+func TestOwnersTokenMintedBeforeArming(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		a := NewArena()
+		r := a.NewRegion()
+		own, err := r.TryAcquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := a.Owners()
+		if len(rep.Owned) != 1 || rep.Owned[0].ID != r.ID() {
+			t.Fatalf("Owners = %+v, want exactly region %d", rep.Owned, r.ID())
+		}
+		if got := rep.Owned[0]; got.AcquireSite != "" || got.HeldFor < 0 {
+			t.Fatalf("pre-arming token reported site %q held %v, want no site and HeldFor >= 0",
+				got.AcquireSite, got.HeldFor)
+		}
+		if at, _ := ownerStamp(r); at.IsZero() {
+			t.Fatal("first observation did not stamp the pre-arming token")
+		}
+		if again := a.Owners(); again.Owned[0].HeldFor < rep.Owned[0].HeldFor {
+			t.Fatalf("HeldFor went backwards: %v then %v", rep.Owned[0].HeldFor, again.Owned[0].HeldFor)
+		}
+		if err := own.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Delete(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // Mixed blocking and non-blocking contenders under the race detector:
 // AcquireContext waiters, TryAcquire opportunists and short deadlines
 // all storm one hub. At quiesce the token ledger balances exactly and

@@ -90,6 +90,13 @@ type Arena struct {
 	advisor atomic.Pointer[arenaAdvisor]
 	tracer  atomic.Pointer[tracerBox]
 
+	// ownersWatched arms the owner observability (region_owner.go): the
+	// acquire timestamp and call stack each token records for the
+	// /owners inspector and the OwnerWatchdog. Set by NewOwnerWatchdog,
+	// Owners and DebugHandler, never cleared; until then acquire and
+	// hand-off skip both behind this one load + branch.
+	ownersWatched atomic.Bool
+
 	// backing is the off-heap page store behind slab-backed object
 	// chunks (region_slab.go); nil — the default — means every chunk is
 	// an ordinary GC-heap allocation. Immutable after construction
@@ -164,7 +171,10 @@ type Region struct {
 	// splices out the quitter, Owner.Delete fails the whole queue.
 	// acquiredAt/acquirePC/acquirePCN (also mu-guarded) record when and
 	// where the current token was minted, for the OwnerWatchdog's
-	// stale-owner reports and the /owners inspector. deferredAt (also
+	// stale-owner reports and the /owners inspector. They are written
+	// only once the arena's owner observability is armed
+	// (Arena.ownersWatched); a token minted before that has zero
+	// acquiredAt until ownerInfo first observes it. deferredAt (also
 	// mu-guarded) records when DeleteDeferred made the region a zombie,
 	// for the ZombieWatchdog's age threshold.
 	waitq      []*acquireWaiter

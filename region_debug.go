@@ -271,16 +271,20 @@ type OwnersReport struct {
 // Owners scans the registry and assembles the ownership report. Like
 // every other inspector walk it samples regions one at a time (each
 // under its own mu), so under concurrent churn the rows are a
-// consistent per-region snapshot, not an atomic cut.
+// consistent per-region snapshot, not an atomic cut. The first call
+// arms the arena's owner observability: a token minted before it
+// reports no acquire site, and its HeldFor counts from this first
+// observation.
 func (a *Arena) Owners() OwnersReport {
+	a.ownersWatched.Store(true)
 	rep := OwnersReport{Owned: []OwnedRegionInfo{}}
-	now := time.Now()
 	a.EachRegion(func(r *Region) {
 		s := r.ownerInfo()
 		if s.owner != nil {
 			rep.Owned = append(rep.Owned, OwnedRegionInfo{
-				ID:          r.id,
-				HeldFor:     now.Sub(s.since),
+				ID: r.id,
+				// Timed after the sample, never before its stamp.
+				HeldFor:     time.Since(s.since),
 				AcquireSite: s.site(),
 				QueueDepth:  s.depth,
 			})
@@ -420,11 +424,13 @@ func (a *Arena) debugEndpoints() []debugEndpoint {
 //	/trace          attached RingTracer's occupancy stats and buffered
 //	                lifecycle events as JSON; ?n=K limits to the last K
 //
-// Creating the handler enables the cumulative counters (EnableMetrics).
-// It does NOT arm the annotation advisor — advising costs a stack walk
-// per store, so it stays an explicit opt-in.
+// Creating the handler enables the cumulative counters (EnableMetrics)
+// and arms the owner observability /owners reads (each token's acquire
+// time and site, see Owners). It does NOT arm the annotation advisor —
+// advising costs a stack walk per store, so it stays an explicit opt-in.
 func (a *Arena) DebugHandler() http.Handler {
 	a.EnableMetrics()
+	a.ownersWatched.Store(true)
 	mux := http.NewServeMux()
 	endpoints := a.debugEndpoints()
 	for _, ep := range endpoints {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -281,6 +283,10 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 // waiter gauge and the top-contended table.
 func TestDebugHandlerOwners(t *testing.T) {
 	a := NewArena()
+	// Mounting the handler arms the owner observability, so it comes
+	// before the acquire whose site and age /owners must report.
+	srv := httptest.NewServer(a.DebugHandler())
+	defer srv.Close()
 	r := a.NewRegion()
 	own, err := r.TryAcquire()
 	if err != nil {
@@ -302,8 +308,6 @@ func TestDebugHandlerOwners(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	srv := httptest.NewServer(a.DebugHandler())
-	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/owners")
 	if err != nil {
 		t.Fatal(err)
@@ -592,10 +596,20 @@ func TestDebugHandlerTrace(t *testing.T) {
 	})
 }
 
+// expvarSeq numbers expvar names: expvar offers no unpublish, so a
+// test that publishes a fixed name fails when run a second time in one
+// process (go test -count=N).
+var expvarSeq atomic.Int64
+
+// uniqueExpvarName returns prefix suffixed with a process-unique number.
+func uniqueExpvarName(prefix string) string {
+	return fmt.Sprintf("%s.%d", prefix, expvarSeq.Add(1))
+}
+
 func TestPublishExpvar(t *testing.T) {
 	a := NewArena()
 	a.NewRegion()
-	const name = "rcgo.test.arena"
+	name := uniqueExpvarName("rcgo.test.arena")
 	if err := a.PublishExpvar(name); err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +636,7 @@ func TestPublishExpvar(t *testing.T) {
 	r := armed.NewRegion()
 	h := Alloc[traceNode](r)
 	MustSetRef(h, &h.Value.cross, h)
-	const armedName = "rcgo.test.arena.advisor"
+	armedName := uniqueExpvarName("rcgo.test.arena.advisor")
 	if err := armed.PublishExpvar(armedName); err != nil {
 		t.Fatal(err)
 	}

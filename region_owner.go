@@ -294,10 +294,12 @@ func (r *Region) acquireLocked() (*Owner, error) {
 	r.owner.Store(o)
 	r.state.Store(stateOwned)
 	r.shard.ownedRegions.Add(1)
-	r.acquiredAt = time.Now()
-	// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
-	// wrapper: the first recorded frame is the acquiring caller.
-	r.acquirePCN = runtime.Callers(3, r.acquirePC[:])
+	if r.arena.ownersWatched.Load() {
+		r.acquiredAt = time.Now()
+		// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
+		// wrapper: the first recorded frame is the acquiring caller.
+		r.acquirePCN = runtime.Callers(3, r.acquirePC[:])
+	}
 	return o, nil
 }
 
@@ -349,7 +351,9 @@ func (r *Region) AcquireContext(ctx context.Context) (*Owner, error) {
 	// owned transition holds, so a waiter can never be appended to an
 	// unowned or dead region (the audit's waiters-on-unowned rule).
 	w := &acquireWaiter{ready: make(chan handoff, 1)}
-	w.npc = runtime.Callers(2, w.pcs[:])
+	if r.arena.ownersWatched.Load() {
+		w.npc = runtime.Callers(2, w.pcs[:])
+	}
 	r.waitq = append(r.waitq, w)
 	r.shard.acquireWaiters.Add(1)
 	r.mu.Unlock()
@@ -498,9 +502,13 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 		r.shard.acquireWaiters.Add(-1)
 		next = &Owner{r: r}
 		r.owner.Store(next)
-		r.acquiredAt = time.Now()
-		r.acquirePC = w.pcs
-		r.acquirePCN = w.npc
+		if r.arena.ownersWatched.Load() {
+			// A waiter parked before arming carries no frames: the
+			// token is timed from here but reports no site.
+			r.acquiredAt = time.Now()
+			r.acquirePC = w.pcs
+			r.acquirePCN = w.npc
+		}
 		return w, next
 	}
 	r.owner.Store(nil)
@@ -711,8 +719,12 @@ type ownerState struct {
 
 // ownerInfo samples the region's ownership state; a registry walk
 // calling it per region is the one walk behind Arena.Owners and
-// OwnerWatchdog.Check. A region seen unowned without the lock is
-// reported unowned without taking it.
+// OwnerWatchdog.Check, both of which arm the owner observability
+// first. A region seen unowned without the lock is reported unowned
+// without taking it. A token minted before arming has no acquire time:
+// ownerInfo stamps it on first observation, so its age counts from
+// there (and a late watchdog still ages it out), and it reports no
+// acquire site.
 func (r *Region) ownerInfo() ownerState {
 	if r.state.Load() != stateOwned {
 		return ownerState{}
@@ -721,6 +733,9 @@ func (r *Region) ownerInfo() ownerState {
 	defer r.mu.Unlock()
 	if r.state.Load() != stateOwned {
 		return ownerState{}
+	}
+	if r.acquiredAt.IsZero() {
+		r.acquiredAt = time.Now()
 	}
 	return ownerState{
 		owner: r.owner.Load(),

@@ -154,8 +154,8 @@ func (s *refusingStore) Alloc(size int) (unsafe.Pointer, error) {
 	return nil, fmt.Errorf("refusing %d bytes: %w", size, slab.ErrMapFailed)
 }
 func (s *refusingStore) Free(p unsafe.Pointer, size int) {}
-func (s *refusingStore) Stats() SlabStats               { return SlabStats{} }
-func (s *refusingStore) Close() error                   { s.closed = true; return nil }
+func (s *refusingStore) Stats() SlabStats                { return SlabStats{} }
+func (s *refusingStore) Close() error                    { s.closed = true; return nil }
 
 func TestSlabStoreRefusalFallsBackToHeap(t *testing.T) {
 	rs := &refusingStore{}

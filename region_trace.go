@@ -3,6 +3,7 @@ package rcgo
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -237,12 +238,14 @@ func (a *Arena) traceEvent(kind TraceKind, r *Region) {
 	})
 }
 
-// RingTracer is a lock-free, fixed-capacity ring buffer of the most
-// recent lifecycle events. Writers never block and never take a lock: a
-// single atomic fetch-add claims a slot, and the event is published with
-// an atomic pointer store, so the tracer is safe on the delete path of
-// any number of goroutines. When the ring wraps, the oldest events are
-// overwritten.
+// RingTracer is a fixed-capacity ring buffer of the most recent
+// lifecycle events, held by value. A writer claims a slot with one
+// atomic fetch-add, then copies the event in under that slot's own
+// mutex — uncontended unless two writers have wrapped onto the same
+// slot, in which case the higher sequence number wins — so tracing
+// allocates nothing, is safe on the delete path of any number of
+// goroutines, and leaves the collector a pointer-free array it never
+// scans. When the ring wraps, the oldest events are overwritten.
 //
 // Total counts every event ever traced (monotonic, never wraps), so a
 // reader can detect overwrites: Total() - len(Events()) events have been
@@ -250,7 +253,14 @@ func (a *Arena) traceEvent(kind TraceKind, r *Region) {
 type RingTracer struct {
 	mask  uint64
 	pos   atomic.Uint64
-	slots []atomic.Pointer[TraceEvent]
+	slots []ringSlot
+}
+
+// ringSlot is one RingTracer entry; ok reports that ev has been written.
+type ringSlot struct {
+	mu sync.Mutex
+	ok bool
+	ev TraceEvent
 }
 
 // NewRingTracer creates a ring holding the last capacity events
@@ -260,14 +270,18 @@ func NewRingTracer(capacity int) *RingTracer {
 	for n < capacity {
 		n <<= 1
 	}
-	return &RingTracer{mask: uint64(n - 1), slots: make([]atomic.Pointer[TraceEvent], n)}
+	return &RingTracer{mask: uint64(n - 1), slots: make([]ringSlot, n)}
 }
 
 // Trace implements Tracer.
 func (t *RingTracer) Trace(ev TraceEvent) {
-	i := t.pos.Add(1) - 1
-	ev.Seq = i
-	t.slots[i&t.mask].Store(&ev)
+	ev.Seq = t.pos.Add(1) - 1
+	s := &t.slots[ev.Seq&t.mask]
+	s.mu.Lock()
+	if !s.ok || s.ev.Seq < ev.Seq {
+		s.ev, s.ok = ev, true
+	}
+	s.mu.Unlock()
 }
 
 // Total returns the number of events ever traced, including any that
@@ -340,15 +354,20 @@ func (a *Arena) traceEvents() ([]TraceEvent, bool) {
 }
 
 // Events returns the buffered events in sequence order, oldest first.
-// The snapshot is taken without stopping writers: under concurrent
-// tracing it is a consistent set of recently published events, not an
-// atomic cut; once tracing quiesces it is exact.
+// The snapshot is taken without stopping writers — each slot is locked
+// only while it is copied — so under concurrent tracing it is a
+// consistent set of recently published events, not an atomic cut; once
+// tracing quiesces it is exact: the most recent events, as many as the
+// ring holds.
 func (t *RingTracer) Events() []TraceEvent {
 	out := make([]TraceEvent, 0, len(t.slots))
 	for i := range t.slots {
-		if ev := t.slots[i].Load(); ev != nil {
-			out = append(out, *ev)
+		s := &t.slots[i]
+		s.mu.Lock()
+		if s.ok {
+			out = append(out, s.ev)
 		}
+		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

@@ -215,7 +215,9 @@ func TestRingTracerWrap(t *testing.T) {
 }
 
 // Concurrent tracing into a shared ring: every event is assigned a
-// unique sequence number and none is double-stored.
+// unique sequence number and none is double-stored. When concurrent
+// writers wrap the ring, the newer of two events claiming one slot
+// wins, so at quiesce the window is exactly the last capacity events.
 func TestRingTracerConcurrent(t *testing.T) {
 	const workers = 8
 	const events = 1000
@@ -249,6 +251,40 @@ func TestRingTracerConcurrent(t *testing.T) {
 		if n != events {
 			t.Fatalf("region %d traced %d events, want %d", id, n, events)
 		}
+	}
+
+	small := NewRingTracer(16)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				small.Trace(TraceEvent{Kind: TraceRegionCreated, Region: id})
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	evs = small.Events()
+	if len(evs) != 16 || small.Dropped() != workers*events-16 {
+		t.Fatalf("wrapped ring: len(Events) = %d, Dropped = %d, want 16 and %d",
+			len(evs), small.Dropped(), workers*events-16)
+	}
+	for i, ev := range evs {
+		if want := uint64(workers*events - 16 + i); ev.Seq != want {
+			t.Fatalf("wrapped ring: event %d has seq %d, want %d (an older event overwrote a newer one)",
+				i, ev.Seq, want)
+		}
+	}
+}
+
+// Tracing into the ring copies the event into its slot: no heap
+// allocation per event, through the Tracer interface as the arena
+// calls it.
+func TestRingTracerTraceAllocs(t *testing.T) {
+	var tr Tracer = NewRingTracer(64)
+	ev := TraceEvent{Kind: TraceRegionAcquired, Region: 7, Parent: 1, RC: 2}
+	if n := testing.AllocsPerRun(1000, func() { tr.Trace(ev) }); n != 0 {
+		t.Fatalf("RingTracer.Trace allocates %v times per event, want 0", n)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
 		t.Fatalf("/counters trace = %+v, want nonzero drops", doc.Trace)
 	}
 
-	const name = "rcgo.test.tracestats"
+	name := uniqueExpvarName("rcgo.test.tracestats")
 	if err := a.PublishExpvar(name); err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,11 @@ type OwnerWatchdog struct {
 // NewOwnerWatchdog creates an owner watchdog for a with the given
 // held-age threshold. It needs no installation: call Check, or Start
 // it. A tracer, if any, is installed on the arena independently.
+// Creating it arms the arena's owner observability, so tokens minted
+// from then on record their acquire time and site; a token already
+// held is aged from the first Check that sees it.
 func NewOwnerWatchdog(a *Arena, threshold time.Duration) *OwnerWatchdog {
+	a.ownersWatched.Store(true)
 	return &OwnerWatchdog{arena: a, threshold: threshold, now: time.Now}
 }
 
@@ -341,22 +345,27 @@ func NewOwnerWatchdog(a *Arena, threshold time.Duration) *OwnerWatchdog {
 // stalely owned, sorted by id. See the type comment for what one pass
 // does.
 func (w *OwnerWatchdog) Check() []StaleOwner {
-	now := w.now()
-	type due struct {
+	type held struct {
 		r *Region
 		s ownerState
 	}
-	var dues []due
+	var owned []held
 	w.arena.EachRegion(func(r *Region) {
-		if s := r.ownerInfo(); s.owner != nil && now.Sub(s.since) >= w.threshold {
-			dues = append(dues, due{r, s})
+		if s := r.ownerInfo(); s.owner != nil {
+			owned = append(owned, held{r, s})
 		}
 	})
-	sort.Slice(dues, func(i, j int) bool { return dues[i].r.id < dues[j].r.id })
+	// Read the clock after the walk: ownerInfo may have just stamped a
+	// token minted before arming, and an age is never negative.
+	now := w.now()
+	sort.Slice(owned, func(i, j int) bool { return owned[i].r.id < owned[j].r.id })
 
 	var stale []StaleOwner
-	for _, d := range dues {
+	for _, d := range owned {
 		age := now.Sub(d.s.since)
+		if age < w.threshold {
+			continue
+		}
 		so := StaleOwner{ID: d.r.id, Age: age, AcquireSite: d.s.site(), QueueDepth: d.s.depth}
 		// revokeOwner fails, and nothing happens, if the sampled token
 		// was released or handed on since the walk.
