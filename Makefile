@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-shuffle vet fmt-check staticcheck race check benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
+.PHONY: all build test test-short test-shuffle vet fmt-check staticcheck race check benchlint-files smoke docs-check chaos chaos-smoke bench experiments examples fuzz fuzz-delete clean
 
 all: check
 
@@ -51,7 +51,7 @@ race:
 # the full test suite, the race pass over the concurrent API, the
 # checked-in benchmark reports revalidated against the current schema,
 # and the documentation anchored to the tree it describes.
-check: vet fmt-check staticcheck test test-shuffle race benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check
+check: vet fmt-check staticcheck test test-shuffle race benchlint-files smoke docs-check
 
 # Every committed rcbench report must still satisfy the benchlint
 # invariants — catches schema drift against historical BENCH_*.json.
@@ -62,42 +62,25 @@ benchlint-files:
 		$(GO) run rcgo/cmd/benchlint < $$f || exit 1; \
 	done
 
-# Annotation-advisor end-to-end gate: replay a reduced grobner-mix
-# workload with the advisor armed and print the upgrade table. rcbench
-# -advise exits non-zero when the profile reports zero upgrade
-# candidates — the replay plants deliberately under-annotated stores, so
-# an empty report means the advisor lost the flavour lattice.
-advise-smoke:
+# End-to-end smoke, seconds long:
+#   - a reduced-scale rcbench -json run with one round of every A/B cell
+#     (internal/exp/ab.go) piped through benchlint: catches schema drift,
+#     broken workloads and a broken cell. One round proves the
+#     machinery, not the effect; BENCH_pr14_ab.json records a real run;
+#   - the advisor replay, which exits non-zero when the deliberately
+#     under-annotated grobner mix yields no upgrade candidate (the
+#     advisor lost the flavour lattice);
+#   - the pipeline hand-off example (Owner tokens across goroutines);
+#   - a 100-iteration spin of the parallel Alloc benchmarks;
+#   - the contention chaos phase (own.handoff failpoint armed) and the
+#     slab chaos phase (slab.map armed; fails on any leaked page) alone
+#     under the race detector.
+smoke:
+	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all -ab-rounds 1 -ab-cpu 2 | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/cmd/rcbench -advise -advise-allocs 2000
-
-# Ownership fast-path end-to-end gate: a 1-round -own-ab report piped
-# through benchlint (exercises Acquire/Release, the owned alloc and
-# store paths, and the "ownership" schema section), then the pipeline
-# hand-off example. One round proves the machinery, not the speedup —
-# BENCH_pr8_ownership.json records the real best-of-10 run.
-own-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -own-ab 1 -own-cpu 2 | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-
-# Blocking-acquisition end-to-end gate: a 1-round -contend-ab report
-# (exercises AcquireContext, the FIFO hand-off and the "contention"
-# schema section) piped through benchlint, then the contention chaos
-# phase alone under the race detector with the own.handoff failpoint
-# armed. One round proves the machinery — BENCH_pr9_contention.json
-# records the real best-of-10 run.
-contend-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -contend-ab 1 -contend-cpu 2 | $(GO) run rcgo/cmd/benchlint
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 	$(GO) run -race rcgo/cmd/rcchaos -phase contention -seed 1 -workers 4 -conc-ops 300 -q
-
-# Off-heap slab end-to-end gate: a 1-round -slab-ab report (exercises
-# WithOffHeapSlabs, the pointer-free admission gate, reclaim-time page
-# return, the GC-pressure cell and the "slab" schema section) piped
-# through benchlint, then the slab chaos phase alone under the race
-# detector with the slab.map failpoint armed — the phase fails on any
-# leaked page. One round proves the machinery — BENCH_pr10_slab.json
-# records the real best-of run.
-slab-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -slab-ab 1 -slab-cpu 2 | $(GO) run rcgo/cmd/benchlint
 	$(GO) run -race rcgo/cmd/rcchaos -phase slab -seed 1 -workers 4 -conc-ops 300 -q
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
@@ -129,16 +112,6 @@ chaos-smoke:
 # primitive microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Tiny end-to-end sanity pass over the machine-readable benchmark path:
-# a reduced-scale rcbench -json run — including a 1-rep arena-fabric
-# A/B so the fabric section of the schema is exercised — piped through
-# the benchlint validator, then a 100-iteration spin of the parallel
-# Alloc benchmarks. Catches schema drift, broken workloads and a broken
-# fast path in seconds.
-bench-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -fabric-ab 1 -fabric-cpu 2 -fabric-live 32 | $(GO) run rcgo/cmd/benchlint
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

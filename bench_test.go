@@ -381,7 +381,7 @@ func BenchmarkParallelSetSame(b *testing.B) {
 }
 
 // BenchmarkParallelSetSameMetrics is BenchmarkParallelSetSame with the
-// cumulative arena counters enabled (EnableMetrics): the annotated
+// cumulative arena counters enabled (WithMetrics): the annotated
 // store additionally bumps one per-shard atomic counter. Compare the two
 // at -cpu 1,2,4,8 to measure the metrics overhead; with metrics left
 // disabled (the default) the instrumentation is a single pointer load

@@ -249,8 +249,7 @@ func clearRef(holder *rcgo.Obj[node]) error {
 // exactly once.
 func RunConc(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena(rcgo.WithAdvisor())
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithAdvisor(), rcgo.WithMetrics())
 	var adv advisorCounts
 	ring := rcgo.NewRingTracer(1 << 14)
 	a.SetTracer(ring)
@@ -456,8 +455,7 @@ func RunConc(cfg ConcConfig) (ConcResult, error) {
 // quiesced advisor table must count exactly the links that succeeded.
 func RunAllocChurn(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena(rcgo.WithAdvisor())
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithAdvisor(), rcgo.WithMetrics())
 	var adv advisorCounts
 
 	const sharedN = 4
@@ -739,8 +737,7 @@ func RunFabric(cfg ConcConfig) (ConcResult, error) {
 // consumed.
 func RunOwnership(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena()
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithMetrics())
 	ring := rcgo.NewRingTracer(1 << 14)
 	a.SetTracer(ring)
 
@@ -964,8 +961,7 @@ func RunOwnership(cfg ConcConfig) (ConcResult, error) {
 // counter must match that committed tally exactly.
 func RunContention(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena()
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithMetrics())
 	ring := rcgo.NewRingTracer(1 << 14)
 	a.SetTracer(ring)
 	wd := rcgo.NewOwnerWatchdog(a, 2*time.Millisecond)

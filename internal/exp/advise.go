@@ -1,143 +1,26 @@
 package exp
 
-// The annotation advisor's experiment harness (DESIGN.md §13): an
-// interleaved disarmed-vs-armed A/B over the parallel store benchmarks
-// — the measured cost of rcgo.WithAdvisor, recorded in the rcgo.bench/1
-// "advisor" section — and a Go-native replay of the grobner op mix with
-// every store deliberately un-annotated (SetRef), which the advisor
-// must profile back into upgrade candidates. cmd/rcbench exposes the
-// replay as -advise (non-zero exit when no candidate is found, the
-// `make advise-smoke` gate) and the A/B as -advisor-ab
-// (EXPERIMENTS.md §"Annotation advisor").
+// The annotation advisor's replay (DESIGN.md §13): a Go-native replay
+// of the grobner op mix with every store deliberately un-annotated
+// (SetRef), which the advisor must profile back into upgrade
+// candidates. cmd/rcbench exposes it as -advise, which exits non-zero
+// when no candidate is found. The advisor's cost is the "advisor" group
+// of the A/B harness (ab.go).
 
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"testing"
 
 	"rcgo"
+	"rcgo/internal/workloads"
 )
 
-// AdvisorBenchReport is one interleaved A/B advisor benchmark cell: the
-// scenario timed at the given GOMAXPROCS with the advisor disarmed
-// (baseline_ns_op, the default configuration) and armed from birth
-// (ns_op), best of best_of runs per side.
-type AdvisorBenchReport struct {
-	Name   string `json:"name"`
-	CPU    int    `json:"cpu"`
-	BestOf int    `json:"best_of"`
-	// BaselineNs is ns/op with the advisor disarmed; NsPerOp is with
-	// WithAdvisor armed from birth.
-	BaselineNs float64 `json:"baseline_ns_op"`
-	NsPerOp    float64 `json:"ns_op"`
-	// OverheadPct is the armed side's cost, (armed - disarmed) /
-	// disarmed * 100 — positive when profiling costs time, which it
-	// does (a two-frame stack walk per store).
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// advNode carries one slot per store flavour, like the parallel
-// benchmark node in bench_test.go.
+// advNode carries one slot per store flavour the replay exercises.
 type advNode struct {
 	next  rcgo.Ref[advNode] // sameregion link
-	cross rcgo.Ref[advNode] // counted link
+	cross rcgo.Ref[advNode] // annotated control
 	conf  rcgo.Ref[advNode] // traditional link
 	up    rcgo.Ref[advNode] // parentptr link
-}
-
-// measureAdvisor times one side of one scenario under
-// testing.Benchmark: every P hammers annotated sameregion stores
-// (scenario "setsame", the fast path the <5% disarmed bound guards) or
-// counted cross-region stores (scenario "setref").
-func measureAdvisor(armed bool, scenario string) (float64, error) {
-	var opts []rcgo.Option
-	if armed {
-		opts = append(opts, rcgo.WithAdvisor())
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		a := rcgo.NewArena(opts...)
-		switch scenario {
-		case "setsame":
-			r := a.NewRegion()
-			b.RunParallel(func(pb *testing.PB) {
-				h := rcgo.Alloc[advNode](r)
-				v := rcgo.Alloc[advNode](r)
-				for pb.Next() {
-					rcgo.MustSetSame(h, &h.Value.next, v)
-				}
-			})
-		case "setref":
-			shared := a.NewRegion()
-			target := rcgo.Alloc[advNode](shared)
-			b.RunParallel(func(pb *testing.PB) {
-				h := rcgo.Alloc[advNode](a.NewRegion())
-				clear := false
-				for pb.Next() {
-					if clear {
-						rcgo.MustSetRef(h, &h.Value.cross, nil)
-					} else {
-						rcgo.MustSetRef(h, &h.Value.cross, target)
-					}
-					clear = !clear
-				}
-			})
-		default:
-			b.Fatalf("unknown scenario %q", scenario)
-		}
-	})
-	if res.N == 0 {
-		return 0, fmt.Errorf("benchmark failed (armed=%v, scenario=%s)", armed, scenario)
-	}
-	return float64(res.T.Nanoseconds()) / float64(res.N), nil
-}
-
-// AdvisorAB runs the interleaved disarmed-vs-armed advisor benchmarks
-// at the given GOMAXPROCS, best of bestOf runs per side, in strict
-// A, B, A, B alternation so drift hits both sides equally (the
-// convention of the other A/B harnesses and the paper's best-of runs).
-func AdvisorAB(cpu, bestOf int) ([]AdvisorBenchReport, error) {
-	if bestOf <= 0 {
-		bestOf = 10
-	}
-	if cpu <= 0 {
-		cpu = 8
-	}
-	prev := runtime.GOMAXPROCS(cpu)
-	defer runtime.GOMAXPROCS(prev)
-	var out []AdvisorBenchReport
-	for _, sc := range []string{"setsame", "setref"} {
-		rep := AdvisorBenchReport{Name: "parallel-" + sc, CPU: cpu, BestOf: bestOf}
-		for i := 0; i < bestOf; i++ {
-			off, err := measureAdvisor(false, sc)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", rep.Name, err)
-			}
-			on, err := measureAdvisor(true, sc)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", rep.Name, err)
-			}
-			if rep.BaselineNs == 0 || off < rep.BaselineNs {
-				rep.BaselineNs = off
-			}
-			if rep.NsPerOp == 0 || on < rep.NsPerOp {
-				rep.NsPerOp = on
-			}
-		}
-		rep.OverheadPct = 100 * (rep.NsPerOp - rep.BaselineNs) / rep.BaselineNs
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// PrintAdvisorAB renders the A/B cells as a small table.
-func PrintAdvisorAB(w io.Writer, reps []AdvisorBenchReport) {
-	fmt.Fprintf(w, "%-20s %6s %8s %14s %14s %10s\n",
-		"scenario", "cpu", "best-of", "disarmed ns/op", "armed ns/op", "overhead")
-	for _, r := range reps {
-		fmt.Fprintf(w, "%-20s %6d %8d %14.2f %14.2f %+9.1f%%\n",
-			r.Name, r.CPU, r.BestOf, r.BaselineNs, r.NsPerOp, r.OverheadPct)
-	}
 }
 
 // AdviseReplay replays the grobner workload's op mix through the
@@ -155,7 +38,7 @@ func PrintAdvisorAB(w io.Writer, reps []AdvisorBenchReport) {
 //
 // plus one correctly annotated SetSame site as a keep-as-is control.
 // A report without upgrade candidates means the advisor lost the
-// lattice, and rcbench -advise exits non-zero (`make advise-smoke`).
+// lattice, and rcbench -advise exits non-zero (`make smoke`).
 func AdviseReplay(allocs int) (rcgo.AdvisorReport, error) {
 	if allocs <= 0 {
 		allocs = 20000
@@ -209,4 +92,30 @@ func AdviseReplay(allocs int) (rcgo.AdvisorReport, error) {
 	}
 	r.DeleteDeferred()
 	return a.AdvisorReport(), nil
+}
+
+// workloadStoresPerAlloc runs the named workload once through the
+// compiler pipeline and distills its store-per-allocation ratio
+// (annotated + unchecked stores over allocations, rounded), so the
+// Go-native replay carries the workload's real op mix rather than an
+// invented one.
+func workloadStoresPerAlloc(name string, scale int) (int, error) {
+	w := workloads.ByName(name)
+	if w == nil {
+		return 0, fmt.Errorf("no workload %q", name)
+	}
+	c, err := compileAll(w, scale, rcgo.ModeInf)
+	if err != nil {
+		return 0, err
+	}
+	res, err := rcgo.Run(c.prog[rcgo.ModeInf], rcgo.RunConfig{Output: io.Discard})
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	st := res.Region
+	if st.Allocs == 0 {
+		return 0, fmt.Errorf("%s: no allocations recorded", name)
+	}
+	stores := st.SameChecks + st.TradChecks + st.ParentChecks + st.UncheckedPtrs
+	return int((stores + st.Allocs/2) / st.Allocs), nil
 }

@@ -255,7 +255,7 @@ func WithAdvisor() Option {
 
 // EnableAdvisor arms the annotation advisor mid-life. Idempotent; the
 // profile accumulates from the first call and is never reset. Like
-// EnableMetrics, the gate each store reads is the per-region cached
+// the metrics that DebugHandler arms mid-life, the gate each store reads is the per-region cached
 // pointer, so enabling walks the registry to arm every existing region;
 // stores already in flight may go unobserved — the profile is exact
 // only for stores that began after arming (and, at quiesce, exactly

@@ -16,8 +16,7 @@ type cachePayload struct{ a, b, c int64 }
 // cache: objs is stale, Objects() folds the pending deltas in, and
 // Stats is a flush point that settles the real counter.
 func TestAllocCacheFlushOnStats(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	r := a.NewRegion()
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -45,8 +44,7 @@ func TestAllocCacheFlushOnStats(t *testing.T) {
 // A long enough allocation run must cross the per-shard threshold and
 // flush without any explicit flush point being exercised.
 func TestAllocCacheThresholdFlush(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	r := a.NewRegion()
 	const n = 2 * allocShards * allocFlushThreshold
 	for i := 0; i < n; i++ {
@@ -130,8 +128,7 @@ func TestAllocCacheFlushOnDeleteDeferred(t *testing.T) {
 // the cumulative Allocs counter equal to the exact success count, and
 // the audit clean — no delta may drift across any flush path.
 func TestAllocCacheAuditAfterChurn(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	rng := rand.New(rand.NewSource(1))
 	var live []*Region
 	var want, total int64

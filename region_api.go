@@ -121,7 +121,7 @@ type Region struct {
 	// metrics caches arena.metrics so the store fast paths gate their
 	// counting on a load from this (already hot, effectively read-only)
 	// cache line instead of a dependent load through the arena. Set at
-	// creation and by EnableMetrics' registry walk; nil = not counting.
+	// creation and by enableMetrics' registry walk; nil = not counting.
 	// advisor is the same cached-gate pattern for the annotation
 	// advisor (region_advisor.go); nil = not advising.
 	metrics atomic.Pointer[arenaMetrics]
@@ -241,7 +241,7 @@ func (a *Arena) newRegion(parent *Region) *Region {
 	sh.liveRegions.Add(1)
 	a.register(r)
 	// Arm the per-region metrics gate after registering: either this load
-	// sees the enabled pointer, or EnableMetrics' registry walk (which
+	// sees the enabled pointer, or enableMetrics' registry walk (which
 	// CASes a.metrics first) sees the registered region. Never both miss.
 	// The advisor gate follows the identical protocol against
 	// EnableAdvisor's walk.
@@ -598,15 +598,18 @@ func (r *Region) DeleteDeferred() {
 		return
 	}
 	r.state.Store(stateDying)
-	// Same dying-window failpoint as Delete, but DeleteDeferred has no
-	// error return: only the perturbing actions (delay/yield/hook) apply.
-	fpDeleteDying.Perturb()
 	// Flush the batched allocation deltas at the deferral point: a
 	// zombie keeps its objects live until reclaim, so its objs count
 	// must be settled for Stats readers and the auditor. (The
 	// immediate-reclaim branch below relies on reclaim's own drain.)
 	r.flushAllocPendingLocked()
-	if r.rc.Load() == 0 && r.children.Load() == 0 {
+	drained := r.rc.Load() == 0 && r.children.Load() == 0
+	// Same dying-window failpoint as Delete, but DeleteDeferred has no
+	// error return: only the perturbing actions (delay/yield/hook) apply.
+	// It sits between reading the counts and acting on them, where a
+	// released reference finds the region dying, not yet a zombie.
+	fpDeleteDying.Perturb()
+	if drained {
 		r.state.Store(stateDead)
 		r.shard.liveRegions.Add(-1)
 		r.mu.Unlock()
@@ -626,6 +629,11 @@ func (r *Region) DeleteDeferred() {
 		c.deferredDeletes.Add(1)
 	}
 	r.arena.traceEvent(TraceRegionDeferred, r)
+	// A reference or subregion released after the counts were read found
+	// the region dying, and drain ignores a dying region; re-offer the
+	// drain now that the zombie is visible. Anything released later sees
+	// the zombie and drains it itself.
+	r.maybeDrain()
 }
 
 // reclaim frees the region's bookkeeping. The caller has already made

@@ -424,12 +424,13 @@ func (a *Arena) debugEndpoints() []debugEndpoint {
 //	/trace          attached RingTracer's occupancy stats and buffered
 //	                lifecycle events as JSON; ?n=K limits to the last K
 //
-// Creating the handler enables the cumulative counters (EnableMetrics)
-// and arms the owner observability /owners reads (each token's acquire
-// time and site, see Owners). It does NOT arm the annotation advisor —
+// Creating the handler enables the cumulative counters (counting from
+// now on, where WithMetrics would have counted from birth) and arms the
+// owner observability /owners reads (each token's acquire time and
+// site, see Owners). It does NOT arm the annotation advisor —
 // advising costs a stack walk per store, so it stays an explicit opt-in.
 func (a *Arena) DebugHandler() http.Handler {
-	a.EnableMetrics()
+	a.enableMetrics()
 	a.ownersWatched.Store(true)
 	mux := http.NewServeMux()
 	endpoints := a.debugEndpoints()
@@ -535,7 +536,7 @@ func (a *Arena) PublishExpvar(name string) error {
 	if expvar.Get(name) != nil {
 		return fmt.Errorf("rcgo: expvar %q already published", name)
 	}
-	a.EnableMetrics()
+	a.enableMetrics()
 	expvar.Publish(name, expvar.Func(func() any { return a.countersDoc() }))
 	return nil
 }

@@ -177,3 +177,40 @@ func TestTryOpsInjectedErrors(t *testing.T) {
 		t.Fatalf("LiveObjects = %d, want 0", got)
 	}
 }
+
+// A reference released inside DeleteDeferred's dying window, after the
+// counts were read, finds a dying region rather than a zombie, so its
+// drain is a no-op; the zombie it leaves behind must still reclaim.
+// (Seen as a cache epoch stuck at rc 0 in the service benchmark, where
+// requests drop their references while a rotation defer-deletes it.)
+func TestDeferredDeleteReclaimsReferenceReleasedWhileDying(t *testing.T) {
+	defer failpoint.Disable("rcgo/delete.dying")
+	a := NewArena()
+	holder := Alloc[auditNode](a.NewRegion())
+	target := a.NewRegion()
+	if err := SetRef(holder, &holder.Value.Next, Alloc[auditNode](target)); err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("rcgo/delete.dying", failpoint.Rule{
+		Action: failpoint.ActionHook,
+		Hook: func() {
+			// The last reference goes while the deleter is deciding.
+			if err := SetRef(holder, &holder.Value.Next, nil); err != nil {
+				t.Error(err)
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	target.DeleteDeferred()
+	failpoint.Disable("rcgo/delete.dying")
+	if s := target.state.Load(); s != stateDead {
+		t.Fatalf("target state = %d after its last reference went, want dead (%d)", s, stateDead)
+	}
+	if st := a.Stats(); st.DeferredRegions != 0 {
+		t.Errorf("DeferredRegions = %d, want 0", st.DeferredRegions)
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Errorf("audit: %v", rep)
+	}
+}

@@ -115,7 +115,7 @@ type arenaConfig struct {
 // to [1, 256] and rounded up to the next power of two (the shard pick
 // is a mask). WithShards(1) reproduces the pre-fabric single-arena
 // behaviour — every region on one shard — and is the baseline side of
-// the fabric A/B benchmarks (cmd/rcbench -fabric-ab). The default,
+// the fabric A/B cells (cmd/rcbench -ab fabric). The default,
 // without this option, derives the count from GOMAXPROCS at
 // construction time.
 func WithShards(n int) Option {
@@ -123,9 +123,9 @@ func WithShards(n int) Option {
 }
 
 // WithMetrics enables the arena's cumulative operation counters from
-// birth, equivalent to calling the deprecated EnableMetrics immediately
-// after construction — except that no operation can ever predate the
-// gate, so counters cover the arena's whole life.
+// birth: no operation can ever predate the gate, so counters cover the
+// arena's whole life. DebugHandler and PublishExpvar arm the same
+// counters mid-life when the arena was built without it.
 func WithMetrics() Option {
 	return func(c *arenaConfig) { c.metrics = true }
 }
@@ -170,8 +170,7 @@ func clampShards(n int) int {
 //
 // NewArena() with no options is the previous constructor, unchanged in
 // behaviour apart from the fabric defaulting to a GOMAXPROCS-derived
-// shard count. The deprecated EnableMetrics remains as a thin wrapper
-// over the same configuration.
+// shard count.
 func NewArena(opts ...Option) *Arena {
 	var cfg arenaConfig
 	for _, opt := range opts {

@@ -89,22 +89,23 @@ func TestEachRegionShardOrdering(t *testing.T) {
 	}
 }
 
-// The deprecated knob setters still work and agree with their option
-// equivalents.
+// The mid-life arming paths still work: DebugHandler turns the
+// counters on after construction (a region created before arming counts
+// its later allocations, because the registry walk armed its cached
+// gate), and the deprecated SetTracer installs a tracer mid-life.
 func TestDeprecatedSettersStillWork(t *testing.T) {
-	// EnableMetrics after construction == WithMetrics for post-enable deltas.
 	a := NewArena()
 	if a.MetricsEnabled() {
-		t.Fatal("metrics enabled before EnableMetrics")
-	}
-	a.EnableMetrics()
-	if !a.MetricsEnabled() {
-		t.Fatal("EnableMetrics did not enable metrics")
+		t.Fatal("metrics enabled before DebugHandler")
 	}
 	r := a.NewRegion()
+	a.DebugHandler()
+	if !a.MetricsEnabled() {
+		t.Fatal("DebugHandler did not enable metrics")
+	}
 	Alloc[fabricNode](r)
 	if got := a.Counters().Allocs; got != 1 {
-		t.Fatalf("Counters().Allocs = %d after EnableMetrics+Alloc, want 1", got)
+		t.Fatalf("Counters().Allocs = %d after DebugHandler+Alloc, want 1", got)
 	}
 
 	// SetTracer still installs a tracer mid-life.

@@ -30,8 +30,10 @@ import (
 //     within noise of the uninstrumented runtime (EXPERIMENTS.md
 //     §"Observability overhead"); enabled, the full sharded-atomic cost
 //     is paid and documented there.
-//   - EnableMetrics is one-way and idempotent: counters are cumulative
-//     from the moment of enabling and never reset, so deltas taken by a
+//   - Metrics are one-way: WithMetrics arms them at birth, and the
+//     debug surfaces (DebugHandler, PublishExpvar) arm them mid-life;
+//     nothing disarms them. Counters are cumulative from the moment of
+//     enabling and never reset, so deltas taken by a
 //     monitoring scraper are always non-negative.
 //
 // Counters are exact, not sampled: every counted operation increments
@@ -85,23 +87,20 @@ func (m *arenaMetrics) shard(p unsafe.Pointer) *counterShard {
 	return &m.shards[h%metricShards]
 }
 
-// EnableMetrics turns on the arena's cumulative operation counters.
-// Idempotent; counters accumulate from the first call and are never
-// reset. DebugHandler and PublishExpvar enable metrics implicitly.
+// enableMetrics turns on the arena's cumulative operation counters
+// mid-life. Idempotent; counters accumulate from the first call and are
+// never reset. DebugHandler and PublishExpvar arm metrics this way;
+// callers that want counters pass WithMetrics to NewArena, which arms
+// the gate before any operation can run.
 //
 // The gate each operation reads is the per-region cached pointer, so
 // enabling walks the registry to arm every existing region; regions
-// created concurrently with the first EnableMetrics arm themselves
+// created concurrently with the first enableMetrics arm themselves
 // (newRegion registers before it reads a.metrics, so either the walk
 // sees the region or the region sees the pointer). Operations already
 // in flight when metrics come up may go uncounted — deltas are exact
 // only between two snapshots taken while metrics are on.
-//
-// Deprecated: pass WithMetrics to NewArena instead, which arms the gate
-// before any operation can run, so counters cover the arena's whole
-// life. EnableMetrics remains for turning counters on mid-life
-// (DebugHandler and PublishExpvar still use it).
-func (a *Arena) EnableMetrics() {
+func (a *Arena) enableMetrics() {
 	if a.metrics.CompareAndSwap(nil, &arenaMetrics{}) {
 		m := a.metrics.Load()
 		a.EachRegion(func(r *Region) { r.metrics.Store(m) })

@@ -24,8 +24,7 @@ type traceNode struct {
 func TestCountersExactUnderConcurrency(t *testing.T) {
 	const workers = 8
 	const iters = 400
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 
 	shared := a.NewRegion()
 	tobj := Alloc[traceNode](shared)
@@ -95,8 +94,7 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 func TestLifecycleCountersAndTracerExact(t *testing.T) {
 	const workers = 8
 	const rounds = 100
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	ring := NewRingTracer(1 << 14)
 	a.SetTracer(ring)
 
